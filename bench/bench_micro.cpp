@@ -107,7 +107,7 @@ BENCHMARK(BM_CpiInsert)->Arg(8)->Arg(32)->Arg(128);
 // --- SIMD kernel layer (src/co/kernels) ------------------------------------
 // Each kernel is timed under two backends selected by the second range arg:
 // 0 = the portable scalar reference, 1 = the process-wide dispatch
-// (kern::selected(): AVX2 > SSE2 > scalar on x86-64). The n sweep
+// (kern::selected(): AVX2 > scalar on x86-64). The n sweep
 // (32 -> 1024) feeds the EXPERIMENTS.md scaling curve: the scalar cost
 // grows linearly in n while the SIMD backends grow at lane-width fraction
 // of that slope.

@@ -8,23 +8,58 @@
 #include <iostream>
 
 #include "src/driver/cluster.h"
-#include "src/co/trace_categories.h"
-#include "src/sim/trace.h"
+#include "src/obs/trace/tracer.h"
+
+namespace {
+
+using co::obs::trace::EventId;
+using co::obs::trace::Record;
+
+/// One binary trace record as a narrated line. The record's (origin, seq)
+/// is the event's subject PDU and `arg` its event-specific payload.
+void print(const Record& r) {
+  const auto event = static_cast<EventId>(r.event);
+  std::cout << "  [t=" << co::sim::to_ms(r.at) << " ms] E" << r.actor << ' '
+            << co::obs::trace::event_name(event) << ": ";
+  switch (event) {
+    case EventId::kF1:  // arg: gap length
+      std::cout << "gap [" << r.seq << ',' << r.seq + r.arg << ") from E"
+                << r.origin;
+      break;
+    case EventId::kF2:  // arg: number of PDUs the ACK shows missing
+      std::cout << "ACK reveals missing [" << r.seq << ',' << r.seq + r.arg
+                << ") from E" << r.origin;
+      break;
+    case EventId::kRet:
+      std::cout << "request E" << r.origin << " resend up to #" << r.seq;
+      break;
+    case EventId::kDup:
+      std::cout << "E" << r.origin << '#' << r.seq << " already accepted";
+      break;
+    default:  // kRtx
+      std::cout << "rebroadcast E" << r.origin << '#' << r.seq;
+  }
+  std::cout << '\n';
+}
+
+}  // namespace
 
 int main() {
   using namespace co;
   using namespace co::proto;
 
-  // Retain the full protocol event trace; interesting slices are printed
-  // at the end.
-  sim::RingTrace trace(1u << 16);
+  // Retain the full binary event trace; interesting slices are printed at
+  // the end.
+  obs::trace::TracerConfig trace_config;
+  trace_config.ring_capacity = 1u << 16;
+  obs::trace::Tracer tracer(trace_config);
 
   ClusterOptions options;
   options.proto.n = 3;
   options.proto.retransmit_timeout = 2 * sim::kMillisecond;
   options.net.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
   options.net.buffer_capacity = 1024;
-  options.trace_sink = &trace;
+  options.tracer = &tracer;
   CoCluster cluster(options);
 
   std::cout << "E0 will broadcast 6 PDUs; the copy of PDU #3 addressed to E2 "
@@ -56,22 +91,18 @@ int main() {
             << e0.retransmissions_sent << "  (go-back-n would have resent "
             << "the whole suffix)\n\n";
 
+  const std::vector<Record> records = tracer.snapshot();
   std::cout << "protocol trace at E2 (failure detection and recovery):\n";
-  for (const auto& entry : trace.entries()) {
-    if (entry.actor != 2) continue;
-    namespace cat = co::proto::cat;
-    if (entry.category == cat::kF1 || entry.category == cat::kF2 ||
-        entry.category == cat::kRet || entry.category == cat::kDup) {
-      std::cout << "  [t=" << sim::to_ms(entry.at) << " ms] E2 "
-                << entry.category << ": " << entry.text << '\n';
-    }
+  for (const Record& r : records) {
+    const auto event = static_cast<EventId>(r.event);
+    if (r.actor == 2 && (event == EventId::kF1 || event == EventId::kF2 ||
+                         event == EventId::kRet || event == EventId::kDup))
+      print(r);
   }
   std::cout << "protocol trace at E0 (the selective rebroadcast):\n";
-  for (const auto& entry : trace.entries()) {
-    if (entry.actor == 0 && entry.category == co::proto::cat::kRtx)
-      std::cout << "  [t=" << sim::to_ms(entry.at) << " ms] E0 rtx: "
-                << entry.text << '\n';
-  }
+  for (const Record& r : records)
+    if (r.actor == 0 && static_cast<EventId>(r.event) == EventId::kRtx)
+      print(r);
 
   std::cout << "\ndelivery log at E2 (complete and in order):\n";
   for (const auto& d : cluster.deliveries(2))

@@ -9,17 +9,6 @@
 
 namespace co::proto {
 
-// Emit a protocol-trace event iff an observer wants the text; the stream
-// expression is not evaluated otherwise.
-#define CO_TRACE(category, expr)                   \
-  do {                                             \
-    if (observer_->wants_trace_text()) {           \
-      std::ostringstream trace_os_;                \
-      trace_os_ << expr;                           \
-      observer_->on_trace(category, trace_os_.str()); \
-    }                                              \
-  } while (0)
-
 namespace {
 /// Wall-clock nanoseconds, for the Tco (protocol processing time) metric.
 std::uint64_t now_wall_ns() {
@@ -215,7 +204,6 @@ void CoCore::transmit(const std::vector<std::uint8_t>& data, DstMask dst) {
   cancel_timer(TimerId::kDefer);
 
   observer_->on_send(ref->key(), ref->is_data());
-  CO_TRACE(cat::kSend, *ref);
   out_->emit(BroadcastEffect{Message(ref)});
 
   // Invariant: while this entity still has data interest, a defer timer is
@@ -322,7 +310,6 @@ void CoCore::on_defer_timeout() {
     // their responses expose theirs to us.
     ++stats_.heartbeats_sent;
     observer_->on_event(cat::CatId::kProbe, PduKey{self_, seq_}, 0);
-    CO_TRACE(cat::kProbe, "tail-loss probe (stalled with data interest)");
     transmit({});
   }
   // Keep probing while the stall persists.
@@ -355,8 +342,6 @@ bool CoCore::ingest(const MessageArrived& arrival) {
       ++stats_.malformed_dropped;
       observer_->on_event(cat::CatId::kMalformed, pdu.key(),
                           static_cast<std::uint32_t>(pdu.ack.size()));
-      CO_TRACE(cat::kMalformed, "malformed PDU dropped (ack lanes="
-                              << pdu.ack.size() << ", n=" << config_.n << ")");
       return false;
     }
     handle_data(*ref);
@@ -373,8 +358,6 @@ bool CoCore::ingest(const MessageArrived& arrival) {
       ++stats_.malformed_dropped;
       observer_->on_event(cat::CatId::kMalformed, PduKey{ret.src, ret.lseq},
                           static_cast<std::uint32_t>(ret.ack.size()));
-      CO_TRACE(cat::kMalformed, "malformed RET dropped (ack lanes="
-                              << ret.ack.size() << ", n=" << config_.n << ")");
       return false;
     }
     handle_ret(ret);
@@ -391,7 +374,6 @@ void CoCore::handle_data(const PduRef& ref) {
     // Duplicate (a retransmission we no longer need).
     ++stats_.duplicates_dropped;
     observer_->on_event(cat::CatId::kDup, pdu.key(), 0);
-    CO_TRACE(cat::kDup, pdu.key() << " already accepted");
     return;
   }
   if (pdu.seq > req_[j]) {
@@ -402,15 +384,12 @@ void CoCore::handle_data(const PduRef& ref) {
     observer_->on_event(
         cat::CatId::kF1, PduKey{pdu.src, req_[j]},
         static_cast<std::uint32_t>(std::min<SeqNo>(pdu.seq - req_[j], 0xffffffffu)));
-    CO_TRACE(cat::kF1, "gap [" << req_[j] << "," << pdu.seq << ") from E"
-                               << pdu.src << "; parking " << pdu.key());
     const bool inserted = parked_[j].insert(req_[j], pdu.seq, ref);
     if (inserted) {
       ++stats_.parked_out_of_order;
       std::size_t parked_total = 0;
       for (const auto& b : parked_) parked_total += b.size();
       stats_.max_parked = std::max(stats_.max_parked, parked_total);
-      CO_TRACE(cat::kPark, pdu.key() << " parked behind gap");
       observer_->on_stage(obs::PduStage::kPark, pdu.key());
     }
     // F(2) on the parked PDU's ACK vector still applies — the F conditions
@@ -451,8 +430,6 @@ void CoCore::scan_acks_for_loss(const std::vector<SeqNo>& ack) {
           cat::CatId::kF2, PduKey{static_cast<EntityId>(k), req_[k]},
           static_cast<std::uint32_t>(
               std::min<SeqNo>(ack[k] - req_[k], 0xffffffffu)));
-      CO_TRACE(cat::kF2, "ACK reveals missing [" << req_[k] << "," << ack[k]
-                                                 << ") from E" << k);
       report_loss(static_cast<EntityId>(k), ack[k]);
     }
   }
@@ -486,7 +463,6 @@ void CoCore::accept(const PduRef& ref) {
   if (rrl_[j].size() == 1) rrl_head_seq_[j] = pdu.seq;
   stats_.max_rrl = std::max(stats_.max_rrl, rrl_[j].size());
   ++stats_.pdus_accepted;
-  CO_TRACE(cat::kAccept, pdu);
   // Selective extension: only destinations owe the application a delivery;
   // everyone still carries the PDU through the PACK/ACK pipeline so the
   // ordering/confirmation machinery stays uniform.
@@ -502,7 +478,6 @@ void CoCore::accept(const PduRef& ref) {
     }
   }
 
-  observer_->on_accept(pdu.key());
   observer_->on_stage(obs::PduStage::kAccept, pdu.key());
 
   scan_acks_for_loss(pdu.ack);
@@ -564,7 +539,6 @@ void CoCore::send_ret(EntityId lsrc, SeqNo lseq) {
   r.buf = free_buffer_;
   ++stats_.ret_pdus_sent;
   observer_->on_event(cat::CatId::kRet, PduKey{lsrc, lseq}, 0);
-  CO_TRACE(cat::kRet, "request E" << lsrc << " resend up to #" << lseq);
   out_->emit(BroadcastEffect{Message(std::move(r))});
 }
 
@@ -614,7 +588,6 @@ void CoCore::retransmit_range(EntityId /*requester*/, SeqNo from,
     sl_resent_at_[off] = now;
     ++stats_.retransmissions_sent;
     observer_->on_event(cat::CatId::kRtx, sl_[off]->key(), 0);
-    CO_TRACE(cat::kRtx, "rebroadcast " << sl_[off]->key());
     // Same shared body as the original broadcast: a refcount bump, not a
     // deep copy.
     out_->emit(BroadcastEffect{Message(sl_[off])});
@@ -751,8 +724,6 @@ bool CoCore::pack_from(std::size_t j) {
     note_pack_time(entry);
     observer_->on_stage(obs::PduStage::kPack, p.key());
     ++stats_.pre_acknowledged;
-    CO_TRACE(cat::kPack, p.key() << " pre-acknowledged (minAL_" << j << "="
-                                 << min_al_[j] << ")");
     prl_.cpi_insert(std::move(entry.pdu), entry.accepted_at);
     stats_.max_prl = std::max(stats_.max_prl, prl_.size());
     progress = true;
@@ -782,11 +753,9 @@ void CoCore::run_ack_action() {
     // the null observer makes these calls free enough to leave ungated.
     if (deliver) observer_->on_stage(obs::PduStage::kDeliver, p.key());
     observer_->on_stage(obs::PduStage::kAck, p.key());
-    CO_TRACE(cat::kAck, p.key() << " acknowledged");
     if (deliver) {
       --undelivered_data_;
       ++stats_.delivered_to_app;
-      CO_TRACE(cat::kDeliver, p.key() << " -> application");
       out_->emit(DeliverEffect{entry.pdu});
     }
   }

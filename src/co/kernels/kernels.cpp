@@ -71,9 +71,10 @@ constexpr KernelOps kScalarOps = {
 
 }  // namespace
 
-// Provided by the per-ISA translation units (x86-64 only).
+const KernelOps& scalar_ops() { return kScalarOps; }
+
+// Provided by the AVX2 translation unit (x86-64 only).
 #if defined(__x86_64__) || defined(_M_X64)
-const KernelOps& sse2_ops();
 const KernelOps& avx2_ops();
 #endif
 
@@ -97,10 +98,8 @@ const KernelOps* pick() {
   if (force_scalar_env()) return &kScalarOps;
 #if defined(__x86_64__) || defined(_M_X64)
   if (avx2_runnable()) return &avx2_ops();
-  return &sse2_ops();  // SSE2 is the x86-64 baseline: always runnable
-#else
-  return &kScalarOps;
 #endif
+  return &kScalarOps;
 }
 
 }  // namespace
@@ -113,7 +112,6 @@ const KernelOps& selected() {
 const KernelOps* by_name(std::string_view name) {
   if (name == "scalar") return &kScalarOps;
 #if defined(__x86_64__) || defined(_M_X64)
-  if (name == "sse2") return &sse2_ops();
   if (name == "avx2" && avx2_runnable()) return &avx2_ops();
 #endif
   return nullptr;
@@ -122,7 +120,6 @@ const KernelOps* by_name(std::string_view name) {
 std::vector<const KernelOps*> available() {
   std::vector<const KernelOps*> out{&kScalarOps};
 #if defined(__x86_64__) || defined(_M_X64)
-  out.push_back(&sse2_ops());
   if (avx2_runnable()) out.push_back(&avx2_ops());
 #endif
   return out;

@@ -5,10 +5,9 @@
 // AL/PAL row, refreshing the column minima those rows feed, the failure
 // condition F(2) scan, the PACK-candidate sweep over per-source RRL heads,
 // and the causal pre-ack gate. This header exposes those loops as a table
-// of function pointers (KernelOps) with three interchangeable backends:
+// of function pointers (KernelOps) with two interchangeable backends:
 //
 //   scalar  portable C++, the reference semantics (always available);
-//   sse2    x86-64 baseline vectors, 2 lanes per op;
 //   avx2    4 lanes per op (runtime cpuid-gated).
 //
 // Selection happens ONCE per process (selected()): the environment variable
@@ -84,8 +83,8 @@ struct KernelOps {
 /// backend the CPU supports. Resolved once, on first call.
 const KernelOps& selected();
 
-/// Backend by name ("scalar", "sse2", "avx2"); nullptr when that backend is
-/// not compiled in or the CPU cannot run it.
+/// Backend by name ("scalar", "avx2"); nullptr for any other name, or when
+/// that backend is not compiled in or the CPU cannot run it.
 const KernelOps* by_name(std::string_view name);
 
 /// Every backend runnable on this machine (scalar first). The differential

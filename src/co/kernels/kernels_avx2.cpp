@@ -8,13 +8,13 @@
 #if defined(__x86_64__) || defined(_M_X64)
 #if !defined(__AVX2__)
 // Compiler lacks -mavx2 (the build system only sets it when supported):
-// degrade to the SSE2 backend so the symbol still links. pick() will hand
-// out SSE2 semantics under the AVX2 slot, which is correct, just slower.
+// degrade to the scalar backend so the symbol still links. pick() will hand
+// out scalar semantics under the AVX2 slot, which is correct, just slower.
 #include "src/co/kernels/kernels.h"
 
 namespace co::proto::kern {
-const KernelOps& sse2_ops();
-const KernelOps& avx2_ops() { return sse2_ops(); }
+const KernelOps& scalar_ops();
+const KernelOps& avx2_ops() { return scalar_ops(); }
 }  // namespace co::proto::kern
 #else
 

@@ -10,30 +10,30 @@
 //   * MulticastObserver to combine independent consumers (a cluster's
 //     bookkeeping + a user's tap) without the callers knowing.
 //
-// Callback contract (unchanged from the old hooks, so trace digests stay
-// bit-identical across the migration):
+// Callback contract:
 //   on_send    once per original broadcast, never for retransmissions;
 //              is_data distinguishes application PDUs from ack-only
 //              confirmations.
-//   on_accept  the acceptance action fired for `key`.
 //   on_stage   lifecycle milestone for the span tracker; at the same sim
 //              time kDeliver is reported before the kAck that completes
-//              the span.
-//   on_event   structured, text-free protocol event in the interned
-//              categories of src/co/trace_categories.h, emitted at the
-//              off-milestone sites on_send/on_stage do not cover (dup,
-//              malformed, f1, f2, ret, rtx, probe). `arg` is a small
-//              category-specific payload (see each emitter). Fired
-//              unconditionally — these sites are off the steady-state hot
-//              path, and the null observer makes the call free.
-//   on_trace   human-readable protocol trace in the categories of
-//              src/co/trace_categories.h. Emitters format the text only
-//              while wants_trace_text() is true, so observers that ignore
-//              text must keep returning false to stay zero-cost.
+//              the span. kAccept is the acceptance action for `key` (the
+//              paper's receipt event r_i[p], which the causality oracle
+//              records).
+//   on_event   structured protocol event in the interned categories of
+//              src/co/trace_categories.h, emitted at the off-milestone
+//              sites on_send/on_stage do not cover (dup, malformed, f1,
+//              f2, ret, rtx, probe). `arg` is a small category-specific
+//              payload (see each emitter). Fired unconditionally — these
+//              sites are off the steady-state hot path, and the null
+//              observer makes the call free.
+//
+// The three callbacks are the protocol's whole event vocabulary. Drivers
+// turn each into one 32-byte binary trace record (src/obs/trace); records
+// feed the fuzz digest, the flight recorder and the Perfetto export, and
+// `co_inspect trace` renders them for humans.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "src/causality/pdu_key.h"
@@ -52,7 +52,6 @@ class CoObserver {
     (void)key;
     (void)is_data;
   }
-  virtual void on_accept(const PduKey& key) { (void)key; }
   virtual void on_stage(obs::PduStage stage, const PduKey& key) {
     (void)stage;
     (void)key;
@@ -62,13 +61,6 @@ class CoObserver {
     (void)key;
     (void)arg;
   }
-  virtual void on_trace(std::string_view category, std::string_view text) {
-    (void)category;
-    (void)text;
-  }
-  /// Gate for on_trace: emitters skip the (costly) text formatting while
-  /// this is false. The base observer observes nothing.
-  virtual bool wants_trace_text() const { return false; }
 };
 
 /// Shared no-op observer — the null object CoCore's observer defaults to,
@@ -93,22 +85,11 @@ class MulticastObserver final : public CoObserver {
   void on_send(const PduKey& key, bool is_data) override {
     for (CoObserver* c : children_) c->on_send(key, is_data);
   }
-  void on_accept(const PduKey& key) override {
-    for (CoObserver* c : children_) c->on_accept(key);
-  }
   void on_stage(obs::PduStage stage, const PduKey& key) override {
     for (CoObserver* c : children_) c->on_stage(stage, key);
   }
   void on_event(cat::CatId id, const PduKey& key, std::uint32_t arg) override {
     for (CoObserver* c : children_) c->on_event(id, key, arg);
-  }
-  void on_trace(std::string_view category, std::string_view text) override {
-    for (CoObserver* c : children_) c->on_trace(category, text);
-  }
-  bool wants_trace_text() const override {
-    for (const CoObserver* c : children_)
-      if (c->wants_trace_text()) return true;
-    return false;
   }
 
  private:

@@ -10,7 +10,7 @@
 namespace co::proto {
 
 // Per-entity observation point. Bookkeeping happens first (delivery
-// expectations, oracle, span tracker, trace sink), then every callback is
+// expectations, oracle, span tracker, tracer), then every callback is
 // forwarded to the user observer — so a user tap sees the cluster's state
 // already consistent with the event it is being told about.
 class CoCluster::EntityObserver final : public CoObserver {
@@ -38,14 +38,9 @@ class CoCluster::EntityObserver final : public CoObserver {
     user().on_send(key, is_data);
   }
 
-  void on_accept(const PduKey& key) override {
-    // No trace_emit here: the acceptance milestone reaches the tracer as
-    // the kAccept stage record (on_stage), once.
-    if (cluster_.trace_) cluster_.trace_->on_accept(id_, key);
-    user().on_accept(key);
-  }
-
   void on_stage(obs::PduStage stage, const PduKey& key) override {
+    if (stage == obs::PduStage::kAccept && cluster_.trace_)
+      cluster_.trace_->on_accept(id_, key);
     if (cluster_.options_.obs)
       cluster_.options_.obs->spans.on_stage(id_, stage, key,
                                             cluster_.sched_.now());
@@ -57,18 +52,6 @@ class CoCluster::EntityObserver final : public CoObserver {
                 std::uint32_t arg) override {
     trace_emit(obs::trace::to_event(id), key, arg);
     user().on_event(id, key, arg);
-  }
-
-  void on_trace(std::string_view category, std::string_view text) override {
-    if (cluster_.options_.trace_sink)
-      cluster_.options_.trace_sink->event(cluster_.sched_.now(), id_, category,
-                                          text);
-    user().on_trace(category, text);
-  }
-
-  bool wants_trace_text() const override {
-    return cluster_.options_.trace_sink != nullptr ||
-           user().wants_trace_text();
   }
 
  private:

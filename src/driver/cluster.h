@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
@@ -24,7 +25,6 @@
 #include "src/driver/sim_driver.h"
 #include "src/net/mc_network.h"
 #include "src/sim/scheduler.h"
-#include "src/sim/trace.h"
 
 namespace co::obs {
 struct Observability;
@@ -40,9 +40,6 @@ struct ClusterOptions {
   CoConfig proto;      // proto.n is authoritative for the cluster size
   net::McConfig net;   // net.n is overwritten with proto.n
   bool record_trace = true;
-  /// Optional protocol-event sink (not owned); see sim::OstreamTrace /
-  /// sim::RingTrace. Null = tracing off (zero cost).
-  sim::TraceSink* trace_sink = nullptr;
   /// Optional observability bundle (not owned; must be built for this n).
   /// When set, the cluster feeds the span tracker from the entity lifecycle
   /// milestones and registers entity/network/scheduler instruments with the
@@ -131,7 +128,7 @@ class CoCluster {
 
  private:
   /// Per-entity CoObserver the cluster installs: keeps the delivery
-  /// bookkeeping, oracle, span tracker and trace sink fed, then forwards
+  /// bookkeeping, oracle, span tracker and tracer fed, then forwards
   /// every callback to the user observer (ClusterOptions::observer).
   class EntityObserver;
 
@@ -163,7 +160,7 @@ class CoCluster {
 ///
 ///   auto cluster = ClusterBuilder(8)
 ///                      .window(4)
-///                      .trace_sink(&sink)
+///                      .tracer(&tracer)
 ///                      .observer(&tap)
 ///                      .build();
 ///
@@ -192,10 +189,6 @@ class ClusterBuilder {
   }
   ClusterBuilder& record_trace(bool on) {
     options_.record_trace = on;
-    return *this;
-  }
-  ClusterBuilder& trace_sink(sim::TraceSink* sink) {
-    options_.trace_sink = sink;
     return *this;
   }
   ClusterBuilder& observability(obs::Observability* bundle) {

@@ -8,9 +8,14 @@
 
 namespace co::fuzz {
 
+namespace {
+constexpr const char* kFormatV1 = "co_fuzz/counterexample/v1";
+constexpr const char* kFormatV2 = "co_fuzz/counterexample/v2";
+}  // namespace
+
 Json Counterexample::to_json() const {
   Json::Object o;
-  o["format"] = Json("co_fuzz/counterexample/v1");
+  o["format"] = Json(kFormatV2);
   o["scenario"] = scenario.to_json();
   o["mutation"] = Json(mutation);
   o["violation_kind"] = Json(violation_kind);
@@ -32,16 +37,20 @@ Json Counterexample::to_json() const {
 }
 
 Counterexample Counterexample::from_json(const Json& j) {
-  if (!j.has("format") ||
-      j.at("format").as_string() != "co_fuzz/counterexample/v1")
+  const std::string format = j.has("format") ? j.at("format").as_string() : "";
+  if (format != kFormatV1 && format != kFormatV2)
     throw std::runtime_error("counterexample: unknown artifact format");
   Counterexample ce;
   ce.scenario = Scenario::from_json(j.at("scenario"));
   ce.mutation = j.at("mutation").as_string();
   ce.violation_kind = j.at("violation_kind").as_string();
   ce.violation_detail = j.at("violation_detail").as_string();
-  ce.digest = j.at("digest").as_u64();
-  ce.trace_events = j.at("trace_events").as_u64();
+  // A v1 digest folded the retired text trace; no run can reproduce it, so
+  // it is dropped and replay skips the record-digest comparison.
+  if (format == kFormatV2) {
+    ce.digest = j.at("digest").as_u64();
+    ce.trace_events = j.at("trace_events").as_u64();
+  }
   ce.original_seed = j.at("original_seed").as_u64();
   ce.shrink_runs = static_cast<std::size_t>(j.at("shrink_runs").as_u64());
   // Optional triage context (absent in pre-metrics artifacts).
@@ -98,8 +107,11 @@ ReplayVerdict replay(const Counterexample& ce) {
   v.report = run_scenario(ce.scenario, options);
   v.reproduced =
       v.report.failed && v.report.violation_kind == ce.violation_kind;
-  v.exact = v.reproduced && v.report.digest == ce.digest &&
-            v.report.trace_events == ce.trace_events;
+  v.exact = v.reproduced;
+  // v1 artifacts (trace_events == 0) carry no record digest to compare.
+  if (ce.trace_events > 0)
+    v.exact = v.exact && v.report.digest == ce.digest &&
+              v.report.trace_events == ce.trace_events;
   // Artifacts written after effect recording additionally pin the sans-io
   // effect stream; old artifacts (effects_emitted == 0) skip this check.
   if (ce.effects_emitted > 0)

@@ -1,11 +1,16 @@
 // Replayable counterexample artifacts.
 //
 // When a seed fails, the fuzzer writes one JSON document holding the
-// (shrunk) Scenario, the violation verdict, and the execution digest. The
+// (shrunk) Scenario, the violation verdict, and the execution digests. The
 // artifact is self-contained: `co_fuzz --replay file.json` reconstructs
-// the scenario, re-runs it deterministically, and confirms both the
-// verdict and the digest — proving the bug reproduces byte-for-byte on
-// the reader's machine, not just that "something failed once".
+// the scenario, re-runs it deterministically, and confirms the verdict and
+// both digests — proving the bug reproduces byte-for-byte on the reader's
+// machine, not just that "something failed once".
+//
+// Format "co_fuzz/counterexample/v2": `digest`/`trace_events` fold the
+// run's binary trace records (RunReport::digest). v1 artifacts still load
+// and replay to the same verdict; their `digest` folded the retired text
+// trace, so it is ignored, while their effect digest is still compared.
 #pragma once
 
 #include <optional>
@@ -22,6 +27,9 @@ struct Counterexample {
   std::string mutation;          // mutation the run was executed under
   std::string violation_kind;
   std::string violation_detail;
+  // Binary trace-record digest (RunReport::digest). Zero trace_events marks
+  // a v1 artifact, whose text-trace digest is not loaded; replay then skips
+  // the record-digest comparison.
   std::uint64_t digest = 0;
   std::uint64_t trace_events = 0;
 
@@ -56,7 +64,7 @@ struct Counterexample {
 /// Outcome of replaying an artifact.
 struct ReplayVerdict {
   bool reproduced = false;   // failed again with the same violation kind
-  bool exact = false;        // ... and the same execution digest
+  bool exact = false;        // ... and the same execution digests
   RunReport report;          // the fresh run's report
 };
 

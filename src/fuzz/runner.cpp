@@ -6,8 +6,8 @@
 #include "src/driver/cluster.h"
 #include "src/fuzz/effect_log.h"
 #include "src/obs/observe.h"
+#include "src/obs/trace/digest.h"
 #include "src/obs/trace/tracer.h"
-#include "src/sim/trace.h"
 
 namespace co::fuzz {
 
@@ -36,24 +36,24 @@ proto::Mutation mutation_from_name(const std::string& name) {
 RunReport run_scenario(const Scenario& scenario, const RunOptions& options) {
   RunReport report;
 
-  sim::DigestTrace digest;
   EffectRecorder effect_recorder;
   obs::Observability observability(scenario.n);
-  // Always-on flight recorder: a ring of the newest binary event records,
-  // dumped into the report (and from there the counterexample sidecar)
-  // when an oracle fires. Off the digest, so replay stays byte-identical.
-  obs::trace::TracerConfig flight_config;
-  flight_config.ring_capacity = options.flight_capacity;
-  obs::trace::Tracer flight(flight_config);
+  // Every binary event record streams into one sink, which folds the
+  // record digest and keeps the flight-recorder tail a failing run dumps
+  // into the report (and from there the counterexample sidecar).
+  obs::trace::DigestSink records(options.flight_capacity);
+  obs::trace::TracerConfig stream_config;
+  stream_config.ring_capacity = 1024;  // drained at half: never full
+  stream_config.overwrite_oldest = false;
+  obs::trace::Tracer tracer(stream_config, &records);
   proto::ClusterOptions o;
   o.proto = scenario.proto_config();
   o.proto.mutation = options.mutation;
   o.proto.kernels = options.kernels;
   o.net = scenario.net_config();
-  o.trace_sink = &digest;
   o.obs = &observability;
   o.effect_tap = &effect_recorder;
-  o.tracer = &flight;
+  o.tracer = &tracer;
   proto::CoCluster cluster(o);
 
   cluster.network().set_fault_schedule(scenario.faults);
@@ -132,17 +132,19 @@ RunReport run_scenario(const Scenario& scenario, const RunOptions& options) {
       flag("knowledge", *inv);
   }
 
-  if (report.failed) {
-    // Stamp the verdict into the ring so the dump's tail self-identifies,
-    // then capture the resident records (writer quiesced: same thread).
-    flight.emit(obs::trace::EventId::kViolation, sched.now(), kNoEntity,
+  // Stamp the verdict into the stream so the dumped tail self-identifies,
+  // then drain the tracer (writer quiesced: same thread).
+  if (report.failed)
+    tracer.emit(obs::trace::EventId::kViolation, sched.now(), kNoEntity,
                 kNoEntity, obs::trace::kSeqNone, 0);
-    report.flight_tail = flight.snapshot();
-    report.flight_dropped = flight.dropped();
+  tracer.flush();
+  if (report.failed) {
+    report.flight_tail = records.tail();
+    report.flight_dropped = records.tail_dropped();
   }
 
-  report.digest = digest.digest();
-  report.trace_events = digest.events();
+  report.digest = records.digest();
+  report.trace_events = records.records();
   report.effect_digest = effect_recorder.digest();
   report.effects_emitted = effect_recorder.effects();
   report.effect_sample = effect_recorder.sample();

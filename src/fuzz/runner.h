@@ -12,9 +12,11 @@
 //   4. knowledge     — the AL/PAL vector invariants exposed by
 //                      CoEntity::knowledge_invariant_violation.
 //
-// Every run records a DigestTrace over the full protocol event stream; two
-// runs of the same Scenario produce the same digest bit-for-bit, which is
-// what `co_fuzz --replay` verifies.
+// Every run streams its binary trace records (src/obs/trace) into a
+// DigestSink and its effect batches into an EffectRecorder; two runs of the
+// same Scenario produce both digests bit-for-bit, which is what
+// `co_fuzz --replay` verifies. (A -DCO_TRACE_DISABLED build emits no
+// records, so there only the effect digest pins the run.)
 #pragma once
 
 #include <optional>
@@ -35,10 +37,10 @@ struct RunOptions {
   /// process-wide selection). The kernel digest-equivalence suite runs the
   /// same Scenario once per backend and requires identical digests.
   const proto::kern::KernelOps* kernels = nullptr;
-  /// Flight-recorder ring capacity (records). The recorder is always on:
-  /// every run carries a binary event ring, and a failing run's resident
-  /// tail rides out in RunReport::flight_tail for the counterexample
-  /// sidecar. Runs are single-threaded, so this is one ring.
+  /// Flight-recorder tail capacity (records). The recorder is always on:
+  /// the record-digest sink keeps the newest records of the run, and a
+  /// failing run's tail rides out in RunReport::flight_tail for the
+  /// counterexample sidecar.
   std::size_t flight_capacity = std::size_t{1} << 12;
 };
 
@@ -47,8 +49,11 @@ struct RunReport {
   std::string violation_kind;    // "liveness", "causality", "knowledge", ...
   std::string violation_detail;  // human-readable description
 
-  std::uint64_t digest = 0;        // DigestTrace over all protocol events
-  std::uint64_t trace_events = 0;  // events folded into the digest
+  /// FNV-1a digest over every binary trace record of the run (all fields
+  /// but the writer stream, in emission order) and the number of records
+  /// folded in.
+  std::uint64_t digest = 0;
+  std::uint64_t trace_events = 0;
 
   /// Digest of the sans-io effect stream (EffectRecorder over every step's
   /// EffectBatch) and the number of effects folded in. Pins the core's
@@ -71,7 +76,7 @@ struct RunReport {
   /// attached to counterexample artifacts for triage.
   std::string entity_stats;
 
-  /// Always-on flight recorder: the ring-resident tail of the binary event
+  /// Always-on flight recorder: the newest records of the binary event
   /// trace, captured only when an oracle fired (empty on success). The last
   /// record is the kViolation marker stamped at the verdict. Deterministic:
   /// replaying the same Scenario reproduces this tail byte-for-byte.

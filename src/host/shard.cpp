@@ -53,6 +53,11 @@ EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
 SubmitResult EntityRuntime::submit(std::vector<std::uint8_t> data,
                                    proto::DstMask dst) {
   if (!accepting_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
+  // The core rejects these by throwing on the shard thread; refuse them
+  // here, where the caller can still be told.
+  if (data.empty() ||
+      (dst != proto::kEveryone && n_ > proto::kMaxSelectiveEntities))
+    return SubmitResult::kInvalid;
   if (!submissions_.try_push(Submission{std::move(data), dst})) {
     ++stats_.submit_rejected;
     return SubmitResult::kQueueFull;
@@ -202,7 +207,10 @@ bool Shard::ingest_socket(EntityRuntime& e, time::Tick now) {
       const EntityId src = std::holds_alternative<proto::PduRef>(*msg)
                                ? std::get<proto::PduRef>(*msg)->src
                                : std::get<proto::RetPdu>(*msg).src;
-      if (src < 0 || static_cast<std::size_t>(src) >= e.n_) {
+      // Own copies arrive only through pump_self: a wire datagram claiming
+      // to come from this entity is forged or misrouted, and feeding it to
+      // the core would make it request a retransmission from itself.
+      if (src < 0 || static_cast<std::size_t>(src) >= e.n_ || src == e.id_) {
         ++e.stats_.decode_errors;
         continue;
       }

@@ -65,6 +65,8 @@ enum class SubmitResult : std::uint8_t {
   kAccepted = 0,
   kQueueFull = 1,  // ring full — counted in WireStats::submit_rejected
   kStopped = 2,    // host already stopped; nothing will drain the ring
+  kInvalid = 3,    // empty payload, or a selective dst in a cluster wider
+                   // than proto::kMaxSelectiveEntities
 };
 
 inline const char* to_string(SubmitResult r) {
@@ -72,6 +74,7 @@ inline const char* to_string(SubmitResult r) {
     case SubmitResult::kAccepted: return "accepted";
     case SubmitResult::kQueueFull: return "queue_full";
     case SubmitResult::kStopped: return "stopped";
+    case SubmitResult::kInvalid: return "invalid";
   }
   return "?";
 }
@@ -172,7 +175,8 @@ class EntityRuntime final : private driver::RealtimeEnv {
   /// be a silent loss. A submit that raced the drain itself may get
   /// kStopped even though the drain picked it up (processed-but-reported-
   /// stopped); the guarantee is one-sided: kAccepted implies the shard
-  /// WILL process it.
+  /// WILL process it. Returns kInvalid, without queueing, for a request
+  /// the protocol core would refuse.
   SubmitResult submit(std::vector<std::uint8_t> data, proto::DstMask dst);
 
   /// Submissions accepted but not yet popped by the shard. Exact once the

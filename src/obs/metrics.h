@@ -8,7 +8,7 @@
 //                 a callback sampled only when a snapshot is taken;
 //   * Histogram — log2-bucketed distribution (stage latencies in ms).
 //
-// Cost discipline mirrors sim::TraceSink: nothing in the protocol hot path
+// Cost discipline mirrors the tracer's: nothing in the protocol hot path
 // touches the registry unless an observability bundle is attached, and the
 // attached cost is one branch + (for histograms) one bucket increment.
 // Callback instruments are only evaluated inside snapshot(), which the

@@ -179,6 +179,38 @@ TEST(FuzzCounterexample, ArtifactWithoutEffectDigestStillReplaysExactly) {
   EXPECT_TRUE(v.exact);
 }
 
+TEST(FuzzCounterexample, V1ArtifactReplaysWithItsEffectDigestCompared) {
+  // A genuine co_fuzz/counterexample/v1 artifact (deliver_on_accept, seed
+  // 2, shrunk). Its `digest` folded the retired text trace, which no run
+  // can reproduce, so it is ignored; its effect digest still pins the run.
+  const Counterexample v1 =
+      Counterexample::load(CO_TEST_DATA_DIR "/counterexample_v1.json");
+  EXPECT_EQ(v1.trace_events, 0u);
+  ASSERT_GT(v1.effects_emitted, 0u);
+  const ReplayVerdict v = replay(v1);
+  EXPECT_TRUE(v.reproduced);
+  EXPECT_EQ(v.report.effect_digest, v1.effect_digest);
+  EXPECT_EQ(v.report.effects_emitted, v1.effects_emitted);
+  EXPECT_TRUE(v.exact);
+
+  // The effect digest is compared, not skipped: a drifted one is caught.
+  Counterexample drifted = v1;
+  drifted.effect_digest ^= 1;
+  const ReplayVerdict d = replay(drifted);
+  EXPECT_TRUE(d.reproduced);
+  EXPECT_FALSE(d.exact);
+
+  // Saving writes v2, which carries (and then compares) the record digest.
+  const Json saved = v1.to_json();
+  EXPECT_EQ(saved.at("format").as_string(), "co_fuzz/counterexample/v2");
+  Counterexample upgraded = v1;
+  upgraded.digest = v.report.digest;
+  upgraded.trace_events = v.report.trace_events;
+  EXPECT_TRUE(replay(Counterexample::from_json(upgraded.to_json())).exact);
+  upgraded.digest ^= 1;
+  EXPECT_FALSE(replay(upgraded).exact);
+}
+
 TEST(FuzzCounterexample, RejectsUnknownFormat) {
   EXPECT_THROW(Counterexample::from_json(Json::parse("{\"format\":\"bogus\"}")),
                std::runtime_error);

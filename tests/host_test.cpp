@@ -17,6 +17,7 @@
 #include "src/app/payload.h"
 #include "src/causality/checkers.h"
 #include "src/causality/trace.h"
+#include "src/co/wire.h"
 #include "src/host/host.h"
 #include "src/obs/trace/tracer.h"
 
@@ -40,7 +41,8 @@ class HostHarness {
       if (is_data)
         owner_.data_keys_[static_cast<std::size_t>(id_)].push_back(k);
     }
-    void on_accept(const PduKey& k) override {
+    void on_stage(obs::PduStage stage, const PduKey& k) override {
+      if (stage != obs::PduStage::kAccept) return;
       const std::lock_guard<std::mutex> lock(owner_.mutex_);
       owner_.trace_.on_accept(id_, k);
     }
@@ -330,6 +332,61 @@ TEST(HostRuntime, OversizedDatagramIsCountedNotMisparsed) {
   EXPECT_GE(s.decode_errors, 1u);  // the truncated one counts as loss
   EXPECT_EQ(h.host().wire_stats(1).truncated_datagrams, 0u);
   EXPECT_EQ(h.check_co_service(), std::nullopt);
+}
+
+// Own broadcast copies reach an entity only through the in-process loop
+// (pump_self). A wire datagram whose header names the receiver as its
+// source must be dropped at the socket: fed to the core, its SEQ gap fires
+// failure condition (1) against the entity itself, whose "cannot request a
+// retransmission from yourself" invariant then throws on the shard thread
+// and terminates the process.
+TEST(HostRuntime, DatagramClaimingTheReceiverAsSourceIsDropped) {
+  HostHarness h(2, 1, 0.0, nullptr);
+  h.host().start();
+
+  proto::CoPdu forged;
+  forged.cid = 42;  // the harness cluster id: only the src is wrong
+  forged.src = 0;   // the receiving entity
+  forged.seq = 100;
+  forged.ack.assign(2, 0);
+  forged.data = {1, 2, 3};
+  transport::UdpSocket attacker;
+  attacker.bind_loopback(0);
+  ASSERT_TRUE(attacker.send_to(h.host().endpoint(0), proto::encode(forged)));
+
+  // As in the oversized-datagram case, the forged datagram is queued ahead
+  // of every PDU these submits provoke.
+  h.submit(0);
+  h.submit(1);
+  ASSERT_TRUE(h.await_deliveries(2, 10'000ms));
+  h.host().stop();
+
+  EXPECT_GE(h.host().wire_stats(0).decode_errors, 1u);
+  EXPECT_EQ(h.host().protocol_stats(0).ret_pdus_sent, 0u);
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+}
+
+// Requests the protocol core refuses (it throws on the shard thread, which
+// terminates the process) are refused by submit() itself, before queueing.
+TEST(HostRuntime, InvalidSubmitIsRefusedBeforeQueueing) {
+  EXPECT_STREQ(to_string(SubmitResult::kInvalid), "invalid");
+  HostHarness h(2, 1, 0.0, nullptr);
+  h.host().start();
+  EXPECT_EQ(h.host().submit(0, {}), SubmitResult::kInvalid);  // no payload
+  h.submit(0);  // the shard is alive and still serving
+  ASSERT_TRUE(h.await_deliveries(1, 10'000ms));
+  h.host().stop();
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+
+  // A DstMask has one bit per entity, so wider clusters cannot address a
+  // selective destination set; broadcasts stay legal.
+  auto wide = HostBuilder(proto::kMaxSelectiveEntities + 1)
+                  .entity(0)
+                  .deliver([](EntityId, EntityId,
+                              const std::vector<std::uint8_t>&) {})
+                  .build();
+  EXPECT_EQ(wide->submit(0, {1}, proto::dst_of({0})), SubmitResult::kInvalid);
+  EXPECT_EQ(wide->submit(0, {1}), SubmitResult::kAccepted);
 }
 
 // Satellite: submissions racing Host::stop() are never silently lost — a

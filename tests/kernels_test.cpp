@@ -26,8 +26,8 @@
 namespace co::proto::kern {
 namespace {
 
-// Lengths hit every vector-width boundary (2-lane SSE2, 4-lane AVX2,
-// 32-byte all_set blocks) plus both ends of the supported range.
+// Lengths hit every vector-width boundary (4-lane AVX2, 32-byte all_set
+// blocks, 64-lane mask words) plus both ends of the supported range.
 const std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8,  9,   15,  16, 17,
                                 31, 32, 33, 63, 64, 65, 127, 257, 1024};
 
@@ -103,6 +103,7 @@ TEST(Kernels, BackendsAreRegistered) {
   EXPECT_TRUE(found) << "selected() returned an unlisted backend: "
                      << selected().name;
   EXPECT_EQ(by_name("no_such_backend"), nullptr);
+  EXPECT_EQ(by_name("sse2"), nullptr);
 }
 
 TEST(Kernels, MergeMaxMatchesScalar) {

@@ -18,7 +18,8 @@
 #include "src/obs/metrics.h"
 #include "src/obs/observe.h"
 #include "src/obs/spans.h"
-#include "src/sim/trace.h"
+#include "src/obs/trace/digest.h"
+#include "src/obs/trace/tracer.h"
 
 namespace co {
 namespace {
@@ -246,12 +247,15 @@ struct RunFingerprint {
 // protocol state, so the registry must not be read after the cluster dies.
 RunFingerprint run_workload(obs::Observability* bundle,
                             MetricsSnapshot* snap_out = nullptr) {
-  sim::DigestTrace digest;
+  obs::trace::DigestSink digest;
+  obs::trace::TracerConfig streaming;
+  streaming.overwrite_oldest = false;
+  obs::trace::Tracer tracer(streaming, &digest);
   proto::ClusterOptions o;
   o.proto.n = 4;
   o.net.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
   o.net.buffer_capacity = 4096;
-  o.trace_sink = &digest;
+  o.tracer = &tracer;
   o.obs = bundle;
   proto::CoCluster c(o);
   c.network().force_drop(0, 2, 1);  // exercise park/retransmit paths too
@@ -260,9 +264,10 @@ RunFingerprint run_workload(obs::Observability* bundle,
     c.submit_text(1, "b" + std::to_string(i));
   }
   EXPECT_TRUE(c.run_until_delivered(60'000 * sim::kMillisecond));
+  tracer.flush();
   RunFingerprint fp;
   fp.digest = digest.digest();
-  fp.events = digest.events();
+  fp.events = digest.records();
   fp.executed = c.scheduler().executed_events();
   fp.scheduled = c.scheduler().scheduled_events();
   fp.finished = c.scheduler().now();

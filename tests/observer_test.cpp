@@ -16,34 +16,26 @@ using sim::literals::operator""_us;
 
 struct EventLog final : CoObserver {
   std::vector<std::string> events;
-  bool want_text = false;
 
   void on_send(const PduKey& k, bool is_data) override {
     events.push_back("send " + std::to_string(k.src) + "#" +
                      std::to_string(k.seq) + (is_data ? " data" : " ctrl"));
   }
-  void on_accept(const PduKey& k) override {
-    events.push_back("accept " + std::to_string(k.src) + "#" +
-                     std::to_string(k.seq));
-  }
   void on_stage(obs::PduStage stage, const PduKey& k) override {
-    events.push_back("stage " + std::to_string(static_cast<int>(stage)) +
-                     " " + std::to_string(k.src) + "#" +
-                     std::to_string(k.seq));
+    const std::string key = std::to_string(k.src) + "#" + std::to_string(k.seq);
+    if (stage == obs::PduStage::kAccept)
+      events.push_back("accept " + key);
+    else
+      events.push_back("stage " + std::to_string(static_cast<int>(stage)) +
+                       " " + key);
   }
-  void on_trace(std::string_view category, std::string_view) override {
-    events.push_back("trace " + std::string(category));
-  }
-  bool wants_trace_text() const override { return want_text; }
 };
 
 TEST(Observer, NullObserverAcceptsEverythingQuietly) {
   CoObserver& o = null_observer();
   o.on_send({0, 1}, true);
-  o.on_accept({0, 1});
   o.on_stage(obs::PduStage::kAccept, {0, 1});
-  o.on_trace("send", "text");
-  EXPECT_FALSE(o.wants_trace_text());
+  o.on_event(cat::CatId::kDup, {0, 1}, 0);
   EXPECT_EQ(&null_observer(), &null_observer());  // one shared instance
 }
 
@@ -56,21 +48,11 @@ TEST(Observer, MulticastFansOutInInsertionOrder) {
   EXPECT_EQ(multi.size(), 2u);
 
   multi.on_send({2, 5}, true);
-  multi.on_accept({2, 5});
+  multi.on_stage(obs::PduStage::kAccept, {2, 5});
   ASSERT_EQ(first.events.size(), 2u);
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.events[0], "send 2#5 data");
   EXPECT_EQ(first.events[1], "accept 2#5");
-}
-
-TEST(Observer, MulticastWantsTextIffAnyChildDoes) {
-  EventLog quiet, chatty;
-  chatty.want_text = true;
-  MulticastObserver multi;
-  multi.add(&quiet);
-  EXPECT_FALSE(multi.wants_trace_text());
-  multi.add(&chatty);
-  EXPECT_TRUE(multi.wants_trace_text());
 }
 
 ClusterOptions small_options() {

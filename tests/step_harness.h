@@ -90,8 +90,8 @@ class StepHarness final : public driver::RealtimeEnv {
     void on_send(const PduKey& k, bool) override {
       owner->traced_sends.push_back(k);
     }
-    void on_accept(const PduKey& k) override {
-      owner->traced_accepts.push_back(k);
+    void on_stage(obs::PduStage stage, const PduKey& k) override {
+      if (stage == obs::PduStage::kAccept) owner->traced_accepts.push_back(k);
     }
   };
 

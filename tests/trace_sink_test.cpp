@@ -1,133 +1,115 @@
-// Tests: trace sinks and the protocol event trace.
+// Tests: the record-digest trace sink and the protocol event trace as
+// binary records.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
+#include <map>
 #include <vector>
 
 #include "src/driver/cluster.h"
-#include "src/co/trace_categories.h"
-#include "src/fuzz/json.h"
-#include "src/sim/trace.h"
+#include "src/obs/trace/digest.h"
+#include "src/obs/trace/tracer.h"
 
 namespace co {
 namespace {
 
+using obs::trace::DigestSink;
+using obs::trace::EventId;
+using obs::trace::Record;
 using sim::literals::operator""_us;
 
-TEST(TraceSinks, OstreamFormatsOneLinePerEvent) {
-  std::ostringstream os;
-  sim::OstreamTrace t(os);
-  t.event(1'234'000, 2, "accept", "PDU{E0#1}");
-  t.event(2'000'000, 0, "send", "x");
-  const std::string out = os.str();
-  EXPECT_NE(out.find("1.234 ms"), std::string::npos);
-  EXPECT_NE(out.find("E2"), std::string::npos);
-  EXPECT_NE(out.find("accept"), std::string::npos);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
+Record record(std::uint64_t i) {
+  Record r;
+  r.at = static_cast<time::Tick>(1000 * i);
+  r.seq = i;
+  r.origin = static_cast<EntityId>(i % 3);
+  r.actor = static_cast<EntityId>(i % 2);
+  r.event = static_cast<std::uint16_t>(EventId::kAccept);
+  r.arg = static_cast<std::uint32_t>(i * 7);
+  return r;
 }
 
-TEST(TraceSinks, RingKeepsOnlyLastCapacityEntries) {
-  sim::RingTrace t(3);
-  for (int i = 0; i < 10; ++i)
-    t.event(i, 0, "cat", "e" + std::to_string(i));
-  EXPECT_EQ(t.seen(), 10u);
-  ASSERT_EQ(t.entries().size(), 3u);
-  EXPECT_EQ(t.entries().front().text, "e7");
-  EXPECT_EQ(t.entries().back().text, "e9");
-  EXPECT_EQ(t.count("cat"), 3u);
-  EXPECT_EQ(t.count("other"), 0u);
+TEST(DigestSink, TailKeepsOnlyTheNewestRecords) {
+  DigestSink sink(4);
+  std::vector<Record> batch;
+  for (std::uint64_t i = 0; i < 10; ++i) batch.push_back(record(i));
+  sink.on_records(0, batch.data(), batch.size(), 0);
+  EXPECT_EQ(sink.records(), 10u);
+  const std::vector<Record> tail = sink.tail();
+  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(tail.front().seq, 6u);
+  EXPECT_EQ(tail.back().seq, 9u);
+  EXPECT_EQ(sink.tail_dropped(), 6u);
 }
 
-TEST(TraceSinks, TeeFansOut) {
-  sim::RingTrace a, b;
-  sim::TeeTrace tee;
-  tee.add(&a);
-  tee.add(&b);
-  tee.event(1, 0, "x", "y");
-  EXPECT_EQ(a.seen(), 1u);
-  EXPECT_EQ(b.seen(), 1u);
-}
-
-TEST(TraceSinks, TeeDeliversEveryEventToEverySinkInOrder) {
-  sim::RingTrace ring(16);
-  sim::DigestTrace d1, d2;
-  sim::TeeTrace tee;
-  tee.add(&ring);
-  tee.add(&d1);
-  for (int i = 0; i < 5; ++i)
-    tee.event(i, static_cast<EntityId>(i % 2), "cat", "e" + std::to_string(i));
-  // Replaying the ring's retained entries into a second digest reproduces
-  // the first: tee preserved both content and order.
-  for (const auto& e : ring.entries()) d2.event(e.at, e.actor, e.category, e.text);
-  EXPECT_EQ(d1.events(), 5u);
-  EXPECT_EQ(d1.digest(), d2.digest());
-}
-
-TEST(TraceSinks, JsonlEscapingRoundTripsThroughParser) {
-  // Every escaped form JsonlTrace can emit must parse back to the original
-  // bytes with the fuzz artifact parser.
-  const std::vector<std::string> nasty = {
-      "plain",
-      "quote \" inside",
-      "back\\slash",
-      "line\nbreak",
-      "tab\there",
-      std::string("ctrl:\x01\x02\x1f!"),
-      "mixed \"x\\y\"\n\tend",
-  };
-  for (const std::string& text : nasty) {
-    std::ostringstream os;
-    sim::JsonlTrace t(os);
-    t.event(1'234'000, 3, "we\"ird\\cat", text);
-    const std::string line = os.str();
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.back(), '\n');
-    const fuzz::Json j = fuzz::Json::parse(line);
-    EXPECT_EQ(j.at("t").as_i64(), 1'234'000);
-    EXPECT_EQ(j.at("actor").as_i64(), 3);
-    EXPECT_EQ(j.at("cat").as_string(), "we\"ird\\cat");
-    EXPECT_EQ(j.at("text").as_string(), text) << "round-trip failed";
+TEST(DigestSink, RefoldingTheTailReproducesTheDigest) {
+  // The digest depends on record content and order only: batch boundaries
+  // and the writer stream id do not enter it.
+  DigestSink live(16), refold;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    const Record r = record(i);
+    live.on_records(static_cast<std::uint16_t>(i), &r, 1, 0);
   }
-}
+  const std::vector<Record> tail = live.tail();
+  refold.on_records(7, tail.data(), tail.size(), 0);
+  EXPECT_EQ(refold.records(), 5u);
+  EXPECT_EQ(refold.digest(), live.digest());
 
-TEST(TraceSinks, JsonlEmitsOneParsableLinePerEvent) {
-  std::ostringstream os;
-  sim::JsonlTrace t(os);
-  t.event(1, 0, "send", "a");
-  t.event(2, 1, "accept", "b\nc");
-  std::istringstream in(os.str());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_NO_THROW(fuzz::Json::parse(line)) << line;
+  // Every other field does: change one, or swap two records, and it moves.
+  for (int field = 0; field < 6; ++field) {
+    std::vector<Record> changed = tail;
+    Record& r = changed[2];
+    switch (field) {
+      case 0: ++r.at; break;
+      case 1: ++r.seq; break;
+      case 2: ++r.origin; break;
+      case 3: ++r.actor; break;
+      case 4: ++r.event; break;
+      default: ++r.arg;
+    }
+    DigestSink other;
+    other.on_records(0, changed.data(), changed.size(), 0);
+    EXPECT_NE(other.digest(), live.digest()) << "field " << field;
   }
-  EXPECT_EQ(lines, 2u);
+  std::vector<Record> swapped = tail;
+  std::swap(swapped[1], swapped[2]);
+  DigestSink reordered;
+  reordered.on_records(0, swapped.data(), swapped.size(), 0);
+  EXPECT_NE(reordered.digest(), live.digest());
 }
 
-TEST(ProtocolTrace, ClusterEmitsLifecycleEvents) {
-  sim::RingTrace trace(1u << 14);
+proto::ClusterOptions lossy_options() {
   proto::ClusterOptions o;
   o.proto.n = 3;
   o.net.delay = net::DelayModel::fixed(100_us);
   o.net.buffer_capacity = 1024;
-  o.trace_sink = &trace;
-  proto::CoCluster c(o);
-  c.network().force_drop(0, 2, 1);
-  c.submit_text(0, "a");
-  c.submit_text(0, "b");
-  ASSERT_TRUE(c.run_until_delivered(60'000 * sim::kMillisecond));
+  return o;
+}
+
+TEST(ProtocolTrace, ClusterEmitsLifecycleEvents) {
+  obs::trace::TracerConfig config;
+  config.ring_capacity = 1u << 14;
+  obs::trace::Tracer tracer(config);
+  const auto c = proto::ClusterBuilder(3)
+                     .config(lossy_options().proto)
+                     .net(lossy_options().net)
+                     .tracer(&tracer)
+                     .build();
+  c->network().force_drop(0, 2, 1);
+  c->submit_text(0, "a");
+  c->submit_text(0, "b");
+  ASSERT_TRUE(c->run_until_delivered(60'000 * sim::kMillisecond));
+  ASSERT_EQ(tracer.dropped(), 0u);
+  std::map<EventId, std::size_t> count;
+  for (const Record& r : tracer.snapshot()) ++count[static_cast<EventId>(r.event)];
   // The full lifecycle appears: send, accept, loss detection, RET,
   // retransmission, pre-ack, ack, delivery.
-  namespace cat = proto::cat;
-  for (const std::string_view c :
-       {cat::kSend, cat::kAccept, cat::kPack, cat::kAck, cat::kDeliver,
-        cat::kRet, cat::kRtx}) {
-    EXPECT_GT(trace.count(c), 0u) << "missing category " << c;
+  for (const EventId e :
+       {EventId::kSend, EventId::kAccept, EventId::kPack, EventId::kAck,
+        EventId::kDeliver, EventId::kRet, EventId::kRtx}) {
+    EXPECT_GT(count[e], 0u) << "missing event " << obs::trace::event_name(e);
   }
   // Loss was detected via F(1) (gap on next PDU) or F(2) (via confirmation).
-  EXPECT_GT(trace.count(cat::kF1) + trace.count(cat::kF2), 0u);
+  EXPECT_GT(count[EventId::kF1] + count[EventId::kF2], 0u);
 }
 
 TEST(ProtocolTrace, NoSinkMeansNoEvents) {
@@ -135,9 +117,33 @@ TEST(ProtocolTrace, NoSinkMeansNoEvents) {
   o.proto.n = 2;
   o.net.delay = net::DelayModel::fixed(100_us);
   o.net.buffer_capacity = 1024;
-  proto::CoCluster c(o);  // no sink attached
+  proto::CoCluster c(o);  // no tracer attached
   c.submit_text(0, "x");
   EXPECT_TRUE(c.run_until_delivered(10'000 * sim::kMillisecond));
+}
+
+/// Record digest of one small run; `drop` destroys the next E0->E2 copy.
+std::uint64_t record_digest(bool drop) {
+  DigestSink digest;
+  obs::trace::TracerConfig streaming;
+  streaming.overwrite_oldest = false;
+  obs::trace::Tracer tracer(streaming, &digest);
+  proto::ClusterOptions o = lossy_options();
+  o.tracer = &tracer;
+  proto::CoCluster c(o);
+  if (drop) c.network().force_drop(0, 2, 1);
+  c.submit_text(0, "a");
+  c.submit_text(1, "b");
+  EXPECT_TRUE(c.run_until_delivered(60'000 * sim::kMillisecond));
+  tracer.flush();
+  EXPECT_GT(digest.records(), 0u);
+  return digest.digest();
+}
+
+TEST(ProtocolTrace, RecordDigestIsDeterministicAndSeesOneDrop) {
+  EXPECT_EQ(record_digest(false), record_digest(false));
+  EXPECT_EQ(record_digest(true), record_digest(true));
+  EXPECT_NE(record_digest(true), record_digest(false));
 }
 
 }  // namespace

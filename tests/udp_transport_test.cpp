@@ -35,7 +35,8 @@ class UdpCluster {
       if (is_data)
         owner_.data_keys_[static_cast<std::size_t>(id_)].push_back(k);
     }
-    void on_accept(const PduKey& k) override {
+    void on_stage(obs::PduStage stage, const PduKey& k) override {
+      if (stage != obs::PduStage::kAccept) return;
       const std::lock_guard<std::mutex> lock(owner_.mutex_);
       owner_.trace_.on_accept(id_, k);
     }
