@@ -3,15 +3,15 @@
 
 The protocol core must stay deployable without the simulator: src/co may
 not include anything from src/sim, src/net, src/transport or src/driver,
-and the realtime pieces (src/transport plus the realtime driver files) may
-not include src/sim. Run from anywhere; exits non-zero and prints every
-violation as file:line: include.
+the socket layer (src/transport) may include only src/common, and the
+realtime driver files may not include src/sim. Run from anywhere; exits
+non-zero and prints every violation as file:line: include.
 
 Rules (DESIGN.md "Layering"):
   src/co        -> src/common, src/causality only (and itself)
   src/obs       -> no src/sim, no src/driver (tracer/metrics/exporters must
                    stay linkable from the realtime path)
-  src/transport -> no src/sim
+  src/transport -> src/common only (and itself): it is the socket layer
   src/host      -> no src/sim, no src/net (the sharded host runtime is the
                    deployable path: real sockets and the realtime driver
                    only, never the simulated network)
@@ -34,11 +34,6 @@ RULES = [
         "the sans-io core must not depend on any driver or environment",
     ),
     (
-        "src/transport",
-        ("src/sim/",),
-        "the realtime transport must not link the simulator",
-    ),
-    (
         "src/host",
         ("src/sim/", "src/net/"),
         "the sharded host runtime ships without the simulator: transport, "
@@ -49,6 +44,15 @@ RULES = [
         ("src/sim/", "src/driver/"),
         "observability (tracer, metrics, exporters) must stay usable from "
         "the realtime path",
+    ),
+]
+
+# (scope, the only prefixes it may include besides itself, rationale)
+ALLOW_ONLY = [
+    (
+        "src/transport",
+        ("src/common/",),
+        "the socket layer depends on src/common only",
     ),
 ]
 
@@ -73,14 +77,20 @@ def includes_of(path: pathlib.Path):
 def main() -> int:
     violations = []
 
-    for scope, forbidden, why in RULES:
+    def check(scope, bad, why):
         for path in sorted((REPO / scope).rglob("*")):
             if path.suffix not in (".h", ".cpp"):
                 continue
             for lineno, inc in includes_of(path):
-                if inc.startswith(forbidden):
+                if bad(inc):
                     rel = path.relative_to(REPO)
                     violations.append(f"{rel}:{lineno}: {inc}  ({why})")
+
+    for scope, forbidden, why in RULES:
+        check(scope, lambda inc: inc.startswith(forbidden), why)
+    for scope, allowed, why in ALLOW_ONLY:
+        allowed = (scope + "/",) + allowed
+        check(scope, lambda inc: not inc.startswith(allowed), why)
 
     for rel in REALTIME_DRIVER_FILES:
         path = REPO / rel
@@ -99,7 +109,8 @@ def main() -> int:
         for v in violations:
             print("  " + v)
         return 1
-    print("layering: OK (src/co is sans-io; realtime path is sim-free)")
+    print("layering: OK (src/co is sans-io; src/transport is the socket "
+          "layer; realtime path is sim-free)")
     return 0
 
 

@@ -1,6 +1,7 @@
 // Scalar reference backend + the one-shot backend selection.
 #include "src/co/kernels/kernels.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -24,7 +25,8 @@ void s_column_mins(const SeqNo* table, std::size_t rows, std::size_t cols,
     for (std::size_t k = 0; k < cols; ++k) out[k] = ~SeqNo{0};
     return;
   }
-  std::memcpy(out, table, cols * sizeof(SeqNo));
+  // copy_n, not memcpy: at cols == 0 both pointers may be null.
+  std::copy_n(table, cols, out);
   for (std::size_t r = 1; r < rows; ++r) {
     const SeqNo* row = table + r * stride;
     for (std::size_t k = 0; k < cols; ++k)

@@ -1,8 +1,8 @@
 // CoObserver — the single protocol-observation interface.
 //
 // It replaces the former quartet of optional std::function trace hooks
-// (trace_send, trace_accept, trace_event, trace_stage) and the transport
-// NodeConfig taps with one virtual interface:
+// (trace_send, trace_accept, trace_event, trace_stage) and the per-node
+// transport taps with one virtual interface:
 //   * one pointer held by CoCore instead of four std::functions (each of
 //     which cost an allocation and a null check per milestone);
 //   * a null-object default (null_observer()) so emitters never branch on

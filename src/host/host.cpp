@@ -106,11 +106,6 @@ HostBuilder& HostBuilder::proto(const proto::CoConfig& config) {
   return *this;
 }
 
-HostBuilder& HostBuilder::window(SeqNo w) {
-  proto_.window = w;
-  return *this;
-}
-
 HostBuilder& HostBuilder::shards(std::size_t count) {
   CO_EXPECT_MSG(count >= 1, "a host needs at least one shard");
   shards_ = count;
@@ -155,24 +150,14 @@ HostBuilder& HostBuilder::submit_queue(std::size_t capacity) {
   return *this;
 }
 
-HostBuilder& HostBuilder::recv_batch(std::size_t datagrams,
-                                     std::size_t slot_bytes) {
-  recv_batch_datagrams_ = datagrams;
-  recv_slot_bytes_ = slot_bytes;
-  return *this;
-}
-
 HostBuilder& HostBuilder::poll_spin(std::chrono::microseconds window) {
   CO_EXPECT_MSG(window.count() >= 0, "spin window cannot be negative");
   poll_spin_ = window;
   return *this;
 }
 
-HostBuilder& HostBuilder::pin_shards(std::vector<int> cpus) {
-  for (const int cpu : cpus)
-    CO_EXPECT_MSG(cpu >= 0, "pin_shards: cpu ids must be >= 0");
+HostBuilder& HostBuilder::pin_shards() {
   pin_shards_ = true;
-  pin_cpus_ = std::move(cpus);
   return *this;
 }
 
@@ -204,18 +189,10 @@ std::unique_ptr<Host> HostBuilder::build() {
                                   : std::chrono::microseconds{0});
   for (std::size_t s = 0; s < shard_count; ++s) {
     host->shards_.push_back(std::make_unique<Shard>(
-        s, &host->peers_, &host->deliver_, host->epoch_,
-        recv_batch_datagrams_, recv_slot_bytes_));
+        s, &host->peers_, &host->deliver_, host->epoch_));
     Shard& shard = *host->shards_.back();
     shard.set_spin(spin);
-    if (pin_shards_) {
-      if (!pin_cpus_.empty()) {
-        shard.set_cpu(pin_cpus_[s % pin_cpus_.size()]);
-      } else {
-        const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-        shard.set_cpu(static_cast<int>(s % cores));
-      }
-    }
+    if (pin_shards_) shard.set_cpu(static_cast<int>(s % std::max(1u, cores)));
   }
 
   for (std::size_t i = 0; i < entities_.size(); ++i) {

@@ -1,15 +1,16 @@
 // Host — a sharded realtime process running many CO entities over real UDP.
 //
-// The multi-entity counterpart of transport::CoNode and the realtime
+// The one way to run CO entities over real UDP, and the realtime
 // counterpart of the simulator's CoCluster: one Host owns N shard threads
 // (src/host/shard.h), each driving a slice of the host's local entities
 // with batched socket I/O, while application threads talk to the shards
 // exclusively through lock-free SPSC rings. Entities not hosted here are
 // *peers* — remote processes addressed through the shared endpoint table.
+// A single-node deployment is a one-entity host: entity(self, ep) plus a
+// peer() for every other member.
 //
 // Construction is the fluent HostBuilder (mirroring driver::ClusterBuilder)
-// with an explicit lifecycle, replacing the order-dependent raw-struct
-// setup the old NodeConfig path required:
+// with an explicit lifecycle:
 //
 //   configured --build()--> bound --start()--> running --stop()--> stopped
 //
@@ -150,7 +151,6 @@ class HostBuilder {
 
   /// Replace the whole protocol config (n is preserved from the builder).
   HostBuilder& proto(const proto::CoConfig& config);
-  HostBuilder& window(SeqNo w);
   HostBuilder& shards(std::size_t count);
   /// Declare a local entity bound to `ep` (default: loopback, ephemeral
   /// port — resolved after build() via Host::endpoint()). `tap` is an
@@ -177,8 +177,6 @@ class HostBuilder {
                          std::uint64_t seed = Rng::kDefaultSeed);
   /// Capacity of each entity's SPSC submission ring.
   HostBuilder& submit_queue(std::size_t capacity);
-  /// Receive batching: datagrams per recvmmsg burst / bytes per slot.
-  HostBuilder& recv_batch(std::size_t datagrams, std::size_t slot_bytes);
   /// Busy-poll window after the last event before a shard sleeps in
   /// poll(2) (zero = sleep immediately). Unset, build() chooses: kDefaultSpin
   /// when the machine has at least one core per shard plus one for
@@ -186,10 +184,10 @@ class HostBuilder {
   /// steal cycles from the very threads that feed them and make latency
   /// worse, not better.
   HostBuilder& poll_spin(std::chrono::microseconds window);
-  /// Opt-in per-shard CPU affinity: shard s pins to cpus[s % cpus.size()],
-  /// or round-robin over [0, hardware_concurrency) when `cpus` is empty.
-  /// Off by default; best effort (an unsupported/denied pin is ignored).
-  HostBuilder& pin_shards(std::vector<int> cpus = {});
+  /// Opt-in per-shard CPU affinity: shard s pins to CPU
+  /// s % hardware_concurrency. Off by default; best effort (an
+  /// unsupported/denied pin is ignored).
+  HostBuilder& pin_shards();
 
   /// Validate and bind: returns a Host in the `bound` state. Returns a
   /// unique_ptr because shards pin the host's peer table address.
@@ -210,12 +208,9 @@ class HostBuilder {
   obs::trace::Tracer* tracer_ = nullptr;
   double send_loss_ = 0.0;
   std::uint64_t loss_seed_ = Rng::kDefaultSeed;
-  std::size_t submit_queue_capacity_ = 1024;
-  std::size_t recv_batch_datagrams_ = 32;
-  std::size_t recv_slot_bytes_ = 2048;
+  std::size_t submit_queue_capacity_ = kDefaultSubmitQueueCapacity;
   std::optional<std::chrono::microseconds> poll_spin_;  // nullopt = auto
   bool pin_shards_ = false;
-  std::vector<int> pin_cpus_;
 };
 
 }  // namespace co::host

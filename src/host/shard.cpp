@@ -89,13 +89,12 @@ void EntityRuntime::deliver(const proto::CoPdu& pdu) {
 Shard::Shard(std::size_t index,
              const std::vector<transport::UdpEndpoint>* peers,
              const DeliverFn* deliver,
-             std::chrono::steady_clock::time_point epoch,
-             std::size_t recv_batch_datagrams, std::size_t recv_slot_bytes)
+             std::chrono::steady_clock::time_point epoch)
     : index_(index),
       peers_(peers),
       deliver_(deliver),
       epoch_(epoch),
-      recv_batch_(recv_batch_datagrams, recv_slot_bytes) {
+      recv_batch_(kRecvBatchDatagrams, kRecvSlotBytes) {
   CO_EXPECT(peers_ != nullptr);
   // Slot 0 is the doorbell; entity sockets follow at i + 1.
   pollfds_.push_back(pollfd{wakeup_.fd(), POLLIN, 0});

@@ -14,7 +14,7 @@
 // pipeline amortization of PR 4), and every broadcast fan-out goes out as
 // one sendmmsg burst. Deliveries invoke the host's callback on the shard
 // thread. A shard is also usable standalone on a caller's thread via
-// poll_once() — transport::CoNode is exactly that: one shard, one entity.
+// poll_once(); host::Host runs each of its shards on a thread of its own.
 //
 // The loop is event-driven, never tick-paced. A shard sleeps only in
 // poll(2), and three things wake it: a readable entity socket, a due timer
@@ -79,10 +79,9 @@ inline const char* to_string(SubmitResult r) {
   return "?";
 }
 
-/// Wire-level counters one entity accumulates (transport::NodeStats is an
-/// alias of this). Written by the owning shard thread — except
-/// submit_rejected, which the producer side increments — so read them
-/// after stop() or from the shard thread itself.
+/// Wire-level counters one entity accumulates. Written by the owning shard
+/// thread — except submit_rejected, which the producer side increments —
+/// so read them after stop() or from the shard thread itself.
 struct WireStats {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;
@@ -120,6 +119,14 @@ inline constexpr std::chrono::microseconds kDefaultSpin{100};
 /// bound the sleep — never a pacing tick.
 inline constexpr std::chrono::milliseconds kIdlePollCap{500};
 
+/// Default capacity of an entity's SPSC submission ring.
+inline constexpr std::size_t kDefaultSubmitQueueCapacity = 1024;
+
+/// Receive batching: datagrams per recvmmsg burst and bytes per slot (a
+/// larger datagram is counted in WireStats::truncated_datagrams).
+inline constexpr std::size_t kRecvBatchDatagrams = 32;
+inline constexpr std::size_t kRecvSlotBytes = 2048;
+
 /// The poll(2) timeout for an event loop that wants to sleep at most
 /// `cap_ms` but no longer than until `earliest` (the next timer deadline,
 /// if any; `now` in the same clock domain). All arithmetic is 64-bit and
@@ -130,7 +137,7 @@ inline constexpr std::chrono::milliseconds kIdlePollCap{500};
 int clamped_poll_wait_ms(std::int64_t cap_ms, time::Tick now,
                          std::optional<time::Deadline> earliest);
 
-/// Everything one local entity needs, assembled by HostBuilder/NodeBuilder.
+/// Everything one local entity needs, assembled by HostBuilder.
 struct EntityRuntimeConfig {
   EntityId id = kNoEntity;
   proto::CoConfig proto;
@@ -146,7 +153,7 @@ struct EntityRuntimeConfig {
   double send_loss_probability = 0.0;
   std::uint64_t loss_seed = Rng::kDefaultSeed;
   /// Capacity of the SPSC submission ring (rounded up to a power of two).
-  std::size_t submit_queue_capacity = 1024;
+  std::size_t submit_queue_capacity = kDefaultSubmitQueueCapacity;
 };
 
 class Shard;
@@ -166,8 +173,8 @@ class EntityRuntime final : private driver::RealtimeEnv {
   const proto::CoCore& core() const { return *core_; }
 
   /// Producer side of the submission ring. Contract: ONE producer thread
-  /// per entity at a time (the Host documents this; CoNode serializes its
-  /// producers behind a mutex). Never blocks; a full ring rejects. Rings
+  /// per entity at a time (the Host documents this). Never blocks; a full
+  /// ring rejects. Rings
   /// the owning shard's doorbell when the shard may be sleeping.
   ///
   /// Returns kStopped once the shard has run its shutdown drain — after
@@ -234,9 +241,7 @@ class Shard {
   /// shards. `deliver` may be null (deliveries are then dropped).
   Shard(std::size_t index, const std::vector<transport::UdpEndpoint>* peers,
         const DeliverFn* deliver,
-        std::chrono::steady_clock::time_point epoch,
-        std::size_t recv_batch_datagrams = 32,
-        std::size_t recv_slot_bytes = 2048);
+        std::chrono::steady_clock::time_point epoch);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -263,7 +268,7 @@ class Shard {
   void run(const std::atomic<bool>& stop);
 
   /// Ring the shard's doorbell from any thread: a sleeping poll returns
-  /// immediately. Used by Host::stop()/CoNode::stop(); submission wakeups
+  /// immediately. Used by Host::stop(); submission wakeups
   /// happen automatically inside EntityRuntime::submit().
   void wake() { wakeup_.notify(); }
 

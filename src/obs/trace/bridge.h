@@ -4,7 +4,7 @@
 // clock), so whoever owns the driver clock sets the current tick on the
 // bridge before dispatching into the core:
 //   * the sim cluster's per-entity observer stamps scheduler time;
-//   * transport::CoNode stamps the realtime driver's monotonic now before
+//   * a host::Shard stamps the realtime driver's monotonic now before
 //     each ingest/submit/timer batch.
 //
 // Every protocol category maps to the identically-valued EventId, so the

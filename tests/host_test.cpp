@@ -1,9 +1,9 @@
 // Integration tests for the sharded host runtime (src/host): many CO
 // entities in one process, split across shard threads, real loopback UDP
-// between them, loss injected at the sender. Delivery logs are checked
-// against the same happened-before oracle the simulator and the
-// single-node transport tests use, and the shared Tracer must end up with
-// one stream per shard thread.
+// between them, loss injected at the sender (the loopback path itself is
+// effectively lossless). Delivery logs are checked against the same
+// happened-before oracle the simulator suites use, and the shared Tracer
+// must end up with one stream per shard thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,7 +106,9 @@ class HostHarness {
   }
 
   /// Full CO-service check against the oracle (same contract as the
-  /// transport and simulator suites).
+  /// simulator suites). The i-th data payload an entity submitted
+  /// corresponds to its i-th data send key (DT requests are transmitted in
+  /// FIFO order).
   std::optional<causality::Violation> check_co_service() {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<causality::DeliveryLog> key_logs(n_);
@@ -127,6 +129,14 @@ class HostHarness {
     for (const auto& ks : data_keys_)
       sent.insert(sent.end(), ks.begin(), ks.end());
     return causality::check_co_service(key_logs, sent, trace_);
+  }
+
+  std::uint64_t total_retransmissions() const {
+    std::uint64_t r = 0;
+    for (std::size_t i = 0; i < n_; ++i)
+      r += host_->protocol_stats(static_cast<EntityId>(i))
+               .retransmissions_sent;
+    return r;
   }
 
  private:
@@ -201,6 +211,66 @@ TEST(HostRuntime, CoServiceAcrossShardsUnderLoss) {
   std::set<std::uint32_t> streams;
   for (const auto& rec : tracer.snapshot()) streams.insert(rec.stream);
   EXPECT_GE(streams.size(), kShards);
+}
+
+// One entity per shard thread, as on the paper's one-entity-per-
+// workstation testbed.
+TEST(HostRuntime, LossFreeDeliveryAcrossRealSockets) {
+  HostHarness h(3, 3, 0.0, nullptr);
+  h.host().start();
+  for (int round = 0; round < 5; ++round)
+    for (EntityId e = 0; e < 3; ++e) h.submit(e);
+  ASSERT_TRUE(h.await_deliveries(15, 20'000ms));
+  h.host().stop();
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+  EXPECT_EQ(h.host().total_wire_stats().decode_errors, 0u);
+}
+
+TEST(HostRuntime, CausalChainAcrossRealSockets) {
+  HostHarness h(3, 3, 0.0, nullptr);
+  h.host().start();
+  h.submit(0);
+  ASSERT_TRUE(h.await_deliveries(1, 10'000ms));
+  h.submit(1);  // causally after E0's message everywhere
+  ASSERT_TRUE(h.await_deliveries(2, 10'000ms));
+  h.submit(2);
+  ASSERT_TRUE(h.await_deliveries(3, 10'000ms));
+  h.host().stop();
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+}
+
+TEST(HostRuntime, RecoversFromInjectedSendLoss) {
+  HostHarness h(3, 3, /*send_loss=*/0.15, nullptr);
+  h.host().start();
+  for (int round = 0; round < 8; ++round) {
+    for (EntityId e = 0; e < 3; ++e) h.submit(e);
+    std::this_thread::sleep_for(3ms);
+  }
+  ASSERT_TRUE(h.await_deliveries(24, 40'000ms));
+  h.host().stop();
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+  EXPECT_GT(h.host().total_wire_stats().datagrams_dropped_injected, 0u);
+  EXPECT_GT(h.total_retransmissions(), 0u);
+}
+
+TEST(HostRuntime, GarbageDatagramsAreIgnored) {
+  HostHarness h(2, 2, 0.0, nullptr);
+  h.host().start();
+  // Blast junk at entity 0's port from a raw socket.
+  transport::UdpSocket junk;
+  junk.bind_loopback(0);
+  const auto target = h.host().endpoint(0);
+  for (int i = 0; i < 50; ++i) {
+    std::vector<std::uint8_t> noise(1 + i % 32,
+                                    static_cast<std::uint8_t>(i * 37));
+    junk.send_to(target, noise);
+  }
+  h.submit(0);
+  h.submit(1);
+  ASSERT_TRUE(h.await_deliveries(2, 20'000ms));
+  h.host().stop();
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+  EXPECT_GT(h.host().wire_stats(0).decode_errors, 0u);
 }
 
 TEST(HostRuntime, EntitiesSpreadRoundRobinAcrossShards) {
@@ -307,14 +377,13 @@ TEST(HostRuntime, ClampedPollWaitMsNeverWrapsNegative) {
 // decoder as a silently-clipped prefix — and the entity must keep working.
 TEST(HostRuntime, OversizedDatagramIsCountedNotMisparsed) {
   HostHarness h(2, 1, 0.0, nullptr);
-  // Shrink the receive slots AFTER build? No — recv_batch is a builder
-  // knob; use a raw socket to lob a datagram bigger than the default slot.
+  // A raw socket lobs a datagram bigger than a receive slot.
   h.host().start();
 
   transport::UdpSocket attacker;
   attacker.bind_loopback(0);
-  // Default slot is 2048 bytes; 4096 guarantees truncation on any path.
-  const std::vector<std::uint8_t> oversized(4096, 0xEE);
+  // Twice the slot size guarantees truncation on any path.
+  const std::vector<std::uint8_t> oversized(2 * kRecvSlotBytes, 0xEE);
   ASSERT_TRUE(attacker.send_to(h.host().endpoint(0), oversized));
 
   // Loopback send_to is synchronous: the junk already sits in entity 0's
@@ -398,6 +467,7 @@ TEST(HostRuntime, StopNeverSilentlyDropsAcceptedSubmissions) {
   for (int round = 0; round < 5; ++round) {
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> told_stopped{0};
+    std::atomic<std::size_t> producers_accepted{0};  // had one kAccepted
     std::atomic<bool> halt{false};
     auto host =
         HostBuilder(kProducers)
@@ -414,10 +484,13 @@ TEST(HostRuntime, StopNeverSilentlyDropsAcceptedSubmissions) {
     for (std::size_t p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         const auto id = static_cast<EntityId>(p);
+        bool first = true;
         while (!halt.load(std::memory_order_relaxed)) {
           const auto r = host->submit(id, {1, 2, 3});
           if (r == SubmitResult::kAccepted) {
             accepted.fetch_add(1, std::memory_order_relaxed);
+            if (first) producers_accepted.fetch_add(1);
+            first = false;
           } else if (r == SubmitResult::kStopped) {
             told_stopped.fetch_add(1, std::memory_order_relaxed);
             break;
@@ -425,6 +498,12 @@ TEST(HostRuntime, StopNeverSilentlyDropsAcceptedSubmissions) {
         }
       });
     }
+    // Under heavy load stop() could otherwise land before any producer
+    // thread has run at all; wait (bounded) until each one is submitting.
+    const auto running_by = std::chrono::steady_clock::now() + 10s;
+    while (producers_accepted.load() < kProducers &&
+           std::chrono::steady_clock::now() < running_by)
+      std::this_thread::sleep_for(100us);
     // Let the producers race the stop itself, not just the steady state.
     std::this_thread::sleep_for(std::chrono::milliseconds(2 + round));
     host->stop();
@@ -483,6 +562,49 @@ TEST(HostRuntime, DoorbellWakesIdleShardPromptly) {
   // CI scheduling slop stacked on top.
   EXPECT_LT(elapsed, 100ms);
   host->stop();
+}
+
+// Regression: a timer armed days out (huge defer/retransmit timeouts)
+// used to wrap the Tick -> int poll-timeout cast negative in the shard
+// loop, turning idle poll_once calls into a 100%-CPU busy spin. A
+// standalone shard driven on the test thread, one entity whose peer never
+// answers its RET: ten 5 ms idle polls must now take real wall time.
+TEST(HostRuntime, FarFutureTimerDoesNotBusySpinPollOnce) {
+  std::vector<transport::UdpEndpoint> peers(2);
+  const DeliverFn deliver = [](EntityId, EntityId,
+                               const std::vector<std::uint8_t>&) {};
+  Shard shard(0, &peers, &deliver, std::chrono::steady_clock::now());
+  EntityRuntimeConfig cfg;
+  cfg.id = 0;
+  cfg.proto.n = 2;
+  cfg.proto.cid = 7;
+  cfg.proto.defer_timeout = 30ll * 24 * 3600 * time::kSecond;
+  cfg.proto.retransmit_timeout = 40ll * 24 * 3600 * time::kSecond;
+  cfg.socket.bind_loopback(0);
+  EntityRuntime& rt = shard.add_entity(std::move(cfg));
+  peers[0] = rt.socket().local_endpoint();
+  peers[1] = transport::UdpEndpoint::loopback(1);  // black hole
+
+  // A PDU from E1 with a SEQ gap: E0 sends a RET to the black hole and
+  // arms its far-future retransmit timer.
+  proto::CoPdu gap;
+  gap.cid = 7;
+  gap.src = 1;
+  gap.seq = 5;
+  gap.ack.assign(2, 0);
+  gap.data = {1, 2, 3};
+  transport::UdpSocket peer;
+  peer.bind_loopback(0);
+  ASSERT_TRUE(peer.send_to(peers[0], proto::encode(gap)));
+  shard.poll_once(5ms);
+  ASSERT_GT(rt.core().stats().snapshot().ret_pdus_sent, 0u);
+  std::this_thread::sleep_for(5ms);  // outlive the post-activity spin window
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) shard.poll_once(5ms);
+  // >= 20 ms allows generous scheduler slop; the busy spin returned in
+  // microseconds.
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 20ms);
 }
 
 TEST(HostRuntime, StartRequiresEveryPeerEndpoint) {

@@ -69,7 +69,10 @@ std::vector<SeqNo> make_vec(Rng& rng, std::size_t n, Dist d) {
 /// unaligned-load promise of every backend.
 struct Misaligned {
   explicit Misaligned(const std::vector<SeqNo>& src) : store(src.size() + 1) {
-    std::memcpy(store.data() + 1, src.data(), src.size() * sizeof(SeqNo));
+    // An empty vector's data() may be null, and memcpy from null is UB
+    // even for zero bytes.
+    if (!src.empty())
+      std::memcpy(store.data() + 1, src.data(), src.size() * sizeof(SeqNo));
   }
   SeqNo* data() { return store.data() + 1; }
   std::vector<SeqNo> store;
@@ -130,8 +133,8 @@ TEST(Kernels, MergeMaxMatchesScalar) {
           EXPECT_EQ(dirty_s, dirty_v) << ctx(ops, n, d, rep);
           EXPECT_EQ(dirty_s, dirty_vm) << ctx(ops, n, d, rep) << " misaligned";
           EXPECT_EQ(row_s, row_v) << ctx(ops, n, d, rep);
-          EXPECT_TRUE(std::memcmp(row_s.data(), row_vm.data(),
-                                  n * sizeof(SeqNo)) == 0)
+          EXPECT_TRUE(n == 0 || std::memcmp(row_s.data(), row_vm.data(),
+                                            n * sizeof(SeqNo)) == 0)
               << ctx(ops, n, d, rep) << " misaligned";
         }
       }
@@ -152,8 +155,9 @@ TEST(Kernels, ColumnMinsMatchesScalar) {
           std::vector<SeqNo> table(rows * stride, ~SeqNo{0} - 1);
           for (std::size_t r = 0; r < rows; ++r) {
             const auto row = make_vec(rng, cols, d);
-            std::memcpy(table.data() + r * stride, row.data(),
-                        cols * sizeof(SeqNo));
+            if (cols != 0)
+              std::memcpy(table.data() + r * stride, row.data(),
+                          cols * sizeof(SeqNo));
           }
           std::vector<SeqNo> out_s(cols, 0xDEAD), out_v(cols, 0xBEEF);
           scalar().column_mins(table.data(), rows, cols, stride, out_s.data());
