@@ -13,7 +13,7 @@
 #include <chrono>
 #include <iostream>
 
-#include "src/baselines/baseline_clusters.h"
+#include "src/baselines/sim_cluster.h"
 #include "src/clocks/vector_clock.h"
 #include "src/co/pdu.h"
 #include "src/common/table.h"

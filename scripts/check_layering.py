@@ -3,7 +3,8 @@
 
 The protocol core must stay deployable without the simulator: src/co may
 not include anything from src/sim, src/net, src/transport or src/driver,
-the socket layer (src/transport) may include only src/common, and the
+the socket layer (src/transport) may include only src/common, the
+baselines (src/baselines) only the simulation substrate, and the
 realtime driver files may not include src/sim. Run from anywhere; exits
 non-zero and prints every violation as file:line: include.
 
@@ -12,6 +13,9 @@ Rules (DESIGN.md "Layering"):
   src/obs       -> no src/sim, no src/driver (tracer/metrics/exporters must
                    stay linkable from the realtime path)
   src/transport -> src/common only (and itself): it is the socket layer
+  src/baselines -> src/common, src/sim, src/net, src/clocks, src/causality
+                   only (and itself): CBCAST, TO and PO share nothing with
+                   the CO protocol they are compared against
   src/host      -> no src/sim, no src/net (the sharded host runtime is the
                    deployable path: real sockets and the realtime driver
                    only, never the simulated network)
@@ -53,6 +57,13 @@ ALLOW_ONLY = [
         "src/transport",
         ("src/common/",),
         "the socket layer depends on src/common only",
+    ),
+    (
+        "src/baselines",
+        ("src/common/", "src/sim/", "src/net/", "src/clocks/",
+         "src/causality/"),
+        "the comparators must not borrow the CO core, its drivers or the "
+        "host, or the comparison stops meaning anything",
     ),
 ]
 
@@ -110,7 +121,8 @@ def main() -> int:
             print("  " + v)
         return 1
     print("layering: OK (src/co is sans-io; src/transport is the socket "
-          "layer; realtime path is sim-free)")
+          "layer; src/baselines shares nothing with CO; realtime path is "
+          "sim-free)")
     return 0
 
 

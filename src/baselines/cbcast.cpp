@@ -1,30 +1,15 @@
 #include "src/baselines/cbcast.h"
 
-#include <chrono>
-
 #include "src/common/expect.h"
+#include "src/common/wall_clock.h"
 
 namespace co::baselines {
 
-namespace {
-std::uint64_t wall_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
-
-CbcastEntity::CbcastEntity(EntityId self, std::size_t n, BroadcastFn broadcast,
-                           DeliverFn deliver)
-    : self_(self),
-      n_(n),
-      broadcast_(std::move(broadcast)),
-      deliver_(std::move(deliver)),
-      vt_(n) {
+CbcastEntity::CbcastEntity(EntityId self, std::size_t n, Hooks hooks)
+    : self_(self), n_(n), hooks_(std::move(hooks)), vt_(n) {
   CO_EXPECT(n >= 2);
   CO_EXPECT(self >= 0 && static_cast<std::size_t>(self) < n);
-  CO_EXPECT(broadcast_ && deliver_);
+  CO_EXPECT(hooks_.broadcast && hooks_.deliver);
 }
 
 void CbcastEntity::broadcast(std::vector<std::uint8_t> data) {
@@ -37,8 +22,8 @@ void CbcastEntity::broadcast(std::vector<std::uint8_t> data) {
   ++stats_.sent;
   // BSS: the sender's own message is causally deliverable at once.
   ++stats_.delivered;
-  deliver_(msg);
-  broadcast_(std::move(msg));
+  hooks_.deliver(msg);
+  hooks_.broadcast(std::move(msg));
 }
 
 bool CbcastEntity::deliverable(const CbcastMsg& msg) {
@@ -55,10 +40,10 @@ bool CbcastEntity::deliverable(const CbcastMsg& msg) {
 void CbcastEntity::deliver(const CbcastMsg& msg) {
   vt_.merge(msg.vt);
   ++stats_.delivered;
-  deliver_(msg);
+  hooks_.deliver(msg);
 }
 
-void CbcastEntity::on_message(const CbcastMsg& msg) {
+void CbcastEntity::on_message(EntityId /*from*/, const CbcastMsg& msg) {
   const std::uint64_t t0 = wall_ns();
   ++stats_.received;
   if (msg.src == self_) {

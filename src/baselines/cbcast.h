@@ -20,9 +20,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "src/baselines/hooks.h"
 #include "src/causality/pdu_key.h"
 #include "src/clocks/vector_clock.h"
 #include "src/common/types.h"
@@ -50,21 +50,22 @@ struct CbcastStats {
 
 class CbcastEntity {
  public:
-  using DeliverFn = std::function<void(const CbcastMsg&)>;
-  using BroadcastFn = std::function<void(CbcastMsg)>;
+  using Message = CbcastMsg;
+  /// CBCAST has no timers: `hooks.schedule` is never called.
+  using Hooks = EntityHooks<CbcastMsg, CbcastMsg>;
 
-  CbcastEntity(EntityId self, std::size_t n, BroadcastFn broadcast,
-               DeliverFn deliver);
+  CbcastEntity(EntityId self, std::size_t n, Hooks hooks);
 
   EntityId self() const { return self_; }
   const CbcastStats& stats() const { return stats_; }
-  const clocks::VectorClock& clock() const { return vt_; }
+  /// SEQ the next broadcast will carry (VT[self] after its tick).
+  SeqNo next_seq() const { return vt_[static_cast<std::size_t>(self_)] + 1; }
 
   /// Broadcast application data (delivered to self immediately, per BSS).
   void broadcast(std::vector<std::uint8_t> data);
 
-  /// Network upcall.
-  void on_message(const CbcastMsg& msg);
+  /// Network upcall (`from` is msg.src: CBCAST never relays).
+  void on_message(EntityId from, const CbcastMsg& msg);
 
   /// Messages stuck waiting for causal predecessors. On a reliable network
   /// this drains to zero; on a lossy one it stalls forever — CBCAST has no
@@ -78,8 +79,7 @@ class CbcastEntity {
 
   EntityId self_;
   std::size_t n_;
-  BroadcastFn broadcast_;
-  DeliverFn deliver_;
+  Hooks hooks_;
   clocks::VectorClock vt_;
   std::deque<CbcastMsg> delay_queue_;
   CbcastStats stats_;

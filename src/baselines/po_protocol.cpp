@@ -1,32 +1,16 @@
 #include "src/baselines/po_protocol.h"
 
-#include <chrono>
-
 #include "src/common/expect.h"
+#include "src/common/wall_clock.h"
 
 namespace co::baselines {
 
-namespace {
-std::uint64_t wall_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
-
-PoEntity::PoEntity(EntityId self, std::size_t n, sim::SimDuration nak_timeout,
-                   BroadcastFn broadcast, DeliverFn deliver,
-                   ScheduleFn schedule)
-    : self_(self),
-      n_(n),
-      nak_timeout_(nak_timeout),
-      broadcast_(std::move(broadcast)),
-      deliver_(std::move(deliver)),
-      schedule_(std::move(schedule)) {
+PoEntity::PoEntity(EntityId self, std::size_t n, Hooks hooks,
+                   sim::SimDuration nak_timeout)
+    : self_(self), n_(n), nak_timeout_(nak_timeout), hooks_(std::move(hooks)) {
   CO_EXPECT(n >= 2);
   CO_EXPECT(self >= 0 && static_cast<std::size_t>(self) < n);
-  CO_EXPECT(broadcast_ && deliver_ && schedule_);
+  CO_EXPECT(hooks_.broadcast && hooks_.deliver && hooks_.schedule);
   req_.assign(n, kFirstSeq);
   known_max_.assign(n, 0);
   parked_.resize(n);
@@ -41,7 +25,7 @@ void PoEntity::broadcast(std::vector<std::uint8_t> data) {
   p.data = std::move(data);
   sl_.push_back(p);
   ++stats_.data_pdus_sent;
-  broadcast_(PoMessage(std::move(p)));
+  hooks_.broadcast(PoMessage(std::move(p)));
 }
 
 void PoEntity::on_message(EntityId from, const PoMessage& msg) {
@@ -92,7 +76,7 @@ void PoEntity::accept(const PoPdu& pdu) {
   nak_outstanding_[j].reset();
   // LO service: deliver immediately in per-source order — no causal wait.
   ++stats_.delivered;
-  deliver_(pdu);
+  hooks_.deliver(pdu);
 }
 
 void PoEntity::handle_ret(const PoRet& ret) {
@@ -101,7 +85,7 @@ void PoEntity::handle_ret(const PoRet& ret) {
   const SeqNo upto = std::min(ret.upto, seq_);
   for (SeqNo s = from; s < upto; ++s) {
     ++stats_.retransmissions_sent;
-    broadcast_(PoMessage(sl_[static_cast<std::size_t>(s - kFirstSeq)]));
+    hooks_.broadcast(PoMessage(sl_[static_cast<std::size_t>(s - kFirstSeq)]));
   }
 }
 
@@ -112,10 +96,10 @@ void PoEntity::report_loss(EntityId lsrc, SeqNo upto) {
   if (pending && *pending >= upto) return;
   pending = upto;
   ++stats_.ret_pdus_sent;
-  broadcast_(PoMessage(PoRet{self_, lsrc, req_[j], upto}));
+  hooks_.broadcast(PoMessage(PoRet{self_, lsrc, req_[j], upto}));
   if (!nak_timer_armed_) {
     nak_timer_armed_ = true;
-    schedule_(nak_timeout_, [this] { on_nak_timer(); });
+    hooks_.schedule(nak_timeout_, [this] { on_nak_timer(); });
   }
 }
 
@@ -131,14 +115,6 @@ void PoEntity::on_nak_timer() {
       report_loss(static_cast<EntityId>(j), upto);
     }
   }
-}
-
-bool PoEntity::complete_up_to_sends() const {
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (j == static_cast<std::size_t>(self_)) continue;
-    if (req_[j] <= known_max_[j]) return false;
-  }
-  return true;
 }
 
 }  // namespace co::baselines

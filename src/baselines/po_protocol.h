@@ -12,12 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <variant>
 #include <vector>
 
+#include "src/baselines/hooks.h"
 #include "src/causality/pdu_key.h"
 #include "src/common/types.h"
 #include "src/sim/time.h"
@@ -50,26 +50,34 @@ struct PoStats {
   std::uint64_t duplicates_dropped = 0;
   std::uint64_t delivered = 0;
   std::uint64_t processing_ns = 0;
+
+  PoStats& operator+=(const PoStats& o) {
+    data_pdus_sent += o.data_pdus_sent;
+    ret_pdus_sent += o.ret_pdus_sent;
+    retransmissions_sent += o.retransmissions_sent;
+    parked_out_of_order += o.parked_out_of_order;
+    duplicates_dropped += o.duplicates_dropped;
+    delivered += o.delivered;
+    processing_ns += o.processing_ns;
+    return *this;
+  }
 };
 
 class PoEntity {
  public:
-  using DeliverFn = std::function<void(const PoPdu&)>;
-  using BroadcastFn = std::function<void(PoMessage)>;
-  using ScheduleFn =
-      std::function<void(sim::SimDuration, std::function<void()>)>;
+  using Message = PoMessage;
+  using Hooks = EntityHooks<PoMessage, PoPdu>;
 
-  PoEntity(EntityId self, std::size_t n, sim::SimDuration nak_timeout,
-           BroadcastFn broadcast, DeliverFn deliver, ScheduleFn schedule);
+  PoEntity(EntityId self, std::size_t n, Hooks hooks,
+           sim::SimDuration nak_timeout = 2 * sim::kMillisecond);
 
   EntityId self() const { return self_; }
   const PoStats& stats() const { return stats_; }
+  /// SEQ the next broadcast will carry.
+  SeqNo next_seq() const { return seq_; }
 
   void broadcast(std::vector<std::uint8_t> data);
   void on_message(EntityId from, const PoMessage& msg);
-
-  SeqNo req(EntityId j) const { return req_.at(static_cast<std::size_t>(j)); }
-  bool complete_up_to_sends() const;
 
  private:
   void handle_pdu(const PoPdu& pdu);
@@ -81,9 +89,7 @@ class PoEntity {
   EntityId self_;
   std::size_t n_;
   sim::SimDuration nak_timeout_;
-  BroadcastFn broadcast_;
-  DeliverFn deliver_;
-  ScheduleFn schedule_;
+  Hooks hooks_;
   SeqNo seq_ = kFirstSeq;
   std::vector<SeqNo> req_;
   std::vector<SeqNo> known_max_;

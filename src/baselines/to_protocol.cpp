@@ -1,36 +1,20 @@
 #include "src/baselines/to_protocol.h"
 
-#include <chrono>
-
 #include "src/common/expect.h"
+#include "src/common/wall_clock.h"
 
 namespace co::baselines {
 
-namespace {
-std::uint64_t wall_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
-
-ToEntity::ToEntity(EntityId self, std::size_t n, sim::SimDuration nak_timeout,
-                   BroadcastFn broadcast, DeliverFn deliver,
-                   ScheduleFn schedule)
-    : self_(self),
-      n_(n),
-      nak_timeout_(nak_timeout),
-      broadcast_(std::move(broadcast)),
-      deliver_(std::move(deliver)),
-      schedule_(std::move(schedule)) {
+ToEntity::ToEntity(EntityId self, std::size_t n, Hooks hooks,
+                   sim::SimDuration nak_timeout)
+    : self_(self), n_(n), nak_timeout_(nak_timeout), hooks_(std::move(hooks)) {
   CO_EXPECT(n >= 2);
   CO_EXPECT(self >= 0 && static_cast<std::size_t>(self) < n);
-  CO_EXPECT(broadcast_ && deliver_ && schedule_);
+  CO_EXPECT(hooks_.broadcast && hooks_.deliver && hooks_.schedule);
   req_.assign(n, kFirstSeq);
   known_max_.assign(n, 0);
   nak_outstanding_.assign(n, std::nullopt);
-  schedule_(nak_timeout_, [this] { on_status_timer(); });
+  hooks_.schedule(nak_timeout_, [this] { on_status_timer(); });
 }
 
 void ToEntity::broadcast(std::vector<std::uint8_t> data) {
@@ -40,7 +24,7 @@ void ToEntity::broadcast(std::vector<std::uint8_t> data) {
   p.data = std::move(data);
   sl_.push_back(p);
   ++stats_.data_pdus_sent;
-  broadcast_(ToMessage(std::move(p)));
+  hooks_.broadcast(ToMessage(std::move(p)));
 }
 
 void ToEntity::on_message(EntityId from, const ToMessage& msg) {
@@ -67,8 +51,8 @@ void ToEntity::on_status_timer() {
   // Announce our stream's high watermark so receivers can detect a lost
   // tail; unconditional (the previous status may itself have been lost).
   // Re-arms forever; the harness bounds the run.
-  if (seq_ > kFirstSeq) broadcast_(ToMessage(ToStatus{self_, seq_}));
-  schedule_(nak_timeout_, [this] { on_status_timer(); });
+  if (seq_ > kFirstSeq) hooks_.broadcast(ToMessage(ToStatus{self_, seq_}));
+  hooks_.schedule(nak_timeout_, [this] { on_status_timer(); });
 }
 
 void ToEntity::handle_pdu(const ToPdu& pdu) {
@@ -88,7 +72,7 @@ void ToEntity::handle_pdu(const ToPdu& pdu) {
   req_[j] = pdu.seq + 1;
   nak_outstanding_[j].reset();  // the gap (if any) is filling in order
   ++stats_.delivered;
-  deliver_(pdu);
+  hooks_.deliver(pdu);
 }
 
 void ToEntity::handle_ret(const ToRet& ret) {
@@ -99,7 +83,7 @@ void ToEntity::handle_ret(const ToRet& ret) {
   const SeqNo from = std::max(ret.from, kFirstSeq);
   for (SeqNo s = from; s < seq_; ++s) {
     ++stats_.retransmissions_sent;
-    broadcast_(ToMessage(sl_[static_cast<std::size_t>(s - kFirstSeq)]));
+    hooks_.broadcast(ToMessage(sl_[static_cast<std::size_t>(s - kFirstSeq)]));
   }
 }
 
@@ -109,16 +93,16 @@ void ToEntity::request_go_back(EntityId lsrc, SeqNo from) {
     // Already asked this source to go back at least this far.
     if (!nak_timer_armed_) {
       nak_timer_armed_ = true;
-      schedule_(nak_timeout_, [this] { on_nak_timer(); });
+      hooks_.schedule(nak_timeout_, [this] { on_nak_timer(); });
     }
     return;
   }
   pending = from;
   ++stats_.ret_pdus_sent;
-  broadcast_(ToMessage(ToRet{self_, lsrc, from}));
+  hooks_.broadcast(ToMessage(ToRet{self_, lsrc, from}));
   if (!nak_timer_armed_) {
     nak_timer_armed_ = true;
-    schedule_(nak_timeout_, [this] { on_nak_timer(); });
+    hooks_.schedule(nak_timeout_, [this] { on_nak_timer(); });
   }
 }
 
@@ -131,14 +115,6 @@ void ToEntity::on_nak_timer() {
       request_go_back(static_cast<EntityId>(j), req_[j]);
     }
   }
-}
-
-bool ToEntity::complete_up_to_sends() const {
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (j == static_cast<std::size_t>(self_)) continue;
-    if (req_[j] <= known_max_[j]) return false;
-  }
-  return true;
 }
 
 }  // namespace co::baselines

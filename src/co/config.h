@@ -17,7 +17,7 @@ struct KernelOps;
 }  // namespace kern
 
 /// Deliberate protocol defects for fuzzer self-validation (src/fuzz): each
-/// mutation disables one acceptance/delivery criterion inside CoEntity. The
+/// mutation disables one acceptance/delivery criterion inside CoCore. The
 /// fuzzer must detect every mutation within a bounded number of seeds —
 /// this is the harness's own regression test, proving the oracle actually
 /// has teeth. kNone is the real protocol.
@@ -95,7 +95,7 @@ struct CoConfig {
   const kern::KernelOps* kernels = nullptr;
 
   /// Check the structural invariants every entity relies on; throws
-  /// std::logic_error (via CO_EXPECT) on violation. CoEntity and
+  /// std::logic_error (via CO_EXPECT) on violation. CoCore and
   /// ClusterBuilder call this, so misconfigurations fail loudly at
   /// construction instead of corrupting a run.
   void validate() const {

@@ -2,22 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "src/co/trace_categories.h"
 #include "src/common/expect.h"
+#include "src/common/wall_clock.h"
 
 namespace co::proto {
-
-namespace {
-/// Wall-clock nanoseconds, for the Tco (protocol processing time) metric.
-std::uint64_t now_wall_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
 
 CoCore::CoCore(EntityId self, CoConfig config, CoObserver* observer)
     : self_(self),
@@ -78,9 +68,9 @@ bool CoCore::apply(const Input& input) {
   free_buffer_ = input.free_buffer;
 
   if (const auto* arrival = std::get_if<MessageArrived>(&input.event)) {
-    const std::uint64_t t0 = now_wall_ns();
+    const std::uint64_t t0 = wall_ns();
     const bool pipeline = ingest(*arrival);
-    stats_.processing_ns += now_wall_ns() - t0;
+    stats_.processing_ns += wall_ns() - t0;
     ++stats_.messages_processed;
     return pipeline;
   }
@@ -114,14 +104,14 @@ bool CoCore::apply(const Input& input) {
 }
 
 void CoCore::run_receipt_pipeline() {
-  const std::uint64_t t0 = now_wall_ns();
+  const std::uint64_t t0 = wall_ns();
   run_pack_action();
   run_ack_action();
   prune_sent_log();
   // The window may have opened (AL advanced) and confirmations may be owed.
   send_pending_data();
   maybe_confirm_now();
-  stats_.processing_ns += now_wall_ns() - t0;
+  stats_.processing_ns += wall_ns() - t0;
 }
 
 void CoCore::arm_timer(TimerId timer, time::Duration delay) {
@@ -882,37 +872,6 @@ std::ostream& operator<<(std::ostream& os, const CoEntityStats& s) {
             << " max_prl=" << s.max_prl << " max_sl=" << s.max_sl
             << " max_parked=" << s.max_parked
             << " tco_us=" << s.tco_us_per_message() << '}';
-}
-
-CoEntityStats::Snapshot CoEntityStats::snapshot() const {
-  Snapshot s;
-  s.data_pdus_sent = data_pdus_sent;
-  s.ctrl_pdus_sent = ctrl_pdus_sent;
-  s.ret_pdus_sent = ret_pdus_sent;
-  s.retransmissions_sent = retransmissions_sent;
-  s.pdus_accepted = pdus_accepted;
-  s.duplicates_dropped = duplicates_dropped;
-  s.foreign_cluster_dropped = foreign_cluster_dropped;
-  s.malformed_dropped = malformed_dropped;
-  s.parked_out_of_order = parked_out_of_order;
-  s.pre_acknowledged = pre_acknowledged;
-  s.acknowledged = acknowledged;
-  s.delivered_to_app = delivered_to_app;
-  s.f1_detections = f1_detections;
-  s.f2_detections = f2_detections;
-  s.ret_retries = ret_retries;
-  s.heartbeats_sent = heartbeats_sent;
-  s.flow_blocked = flow_blocked;
-  s.processing_ns = processing_ns;
-  s.messages_processed = messages_processed;
-  s.max_rrl = max_rrl;
-  s.max_prl = max_prl;
-  s.max_sl = max_sl;
-  s.max_parked = max_parked;
-  s.accept_to_pack_ms = accept_to_pack_ms;
-  s.accept_to_ack_ms = accept_to_ack_ms;
-  s.tco_us_per_message = tco_us_per_message();
-  return s;
 }
 
 void CoCore::note_pack_time(const Prl::Entry& entry) {

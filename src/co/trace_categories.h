@@ -1,6 +1,6 @@
 // Canonical protocol trace categories: interned ids + their strings.
 //
-// CoEntity emitters, tests, the fuzzer oracle, co_inspect and the binary
+// CoCore emitters, tests, the fuzzer oracle, co_inspect and the binary
 // tracer all match on these; a typo in a free-floating literal silently
 // breaks a consumer, so every category lives here and nowhere else. The
 // CatId enum is the interned form carried in fixed-size trace records

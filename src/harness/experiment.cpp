@@ -2,12 +2,10 @@
 
 #include <memory>
 
-#include "src/baselines/baseline_clusters.h"
+#include "src/baselines/sim_cluster.h"
 #include "src/driver/cluster.h"
 #include "src/common/expect.h"
 #include "src/harness/snapshot_pump.h"
-#include "src/obs/export.h"
-#include "src/obs/trace/tracer.h"
 
 namespace co::harness {
 
@@ -25,6 +23,17 @@ bool run_sim(sim::Scheduler& sched, sim::SimTime deadline, DoneFn done) {
   return true;
 }
 
+net::McConfig mc_config(const ExperimentConfig& c) {
+  net::McConfig net;
+  net.n = c.n;
+  net.delay = net::DelayModel::fixed(c.link_delay);
+  net.buffer_capacity = c.buffer_capacity;
+  net.service_time = c.service_time;
+  net.injected_loss = c.injected_loss;
+  net.seed = c.seed;
+  return net;
+}
+
 proto::ClusterOptions to_cluster_options(const ExperimentConfig& c) {
   proto::ClusterOptions o;
   o.proto.n = c.n;
@@ -33,16 +42,45 @@ proto::ClusterOptions to_cluster_options(const ExperimentConfig& c) {
   o.proto.retransmit_timeout = c.retransmit_timeout;
   o.proto.deferred_confirmation = c.deferred_confirmation;
   o.proto.assumed_peer_buffer = c.buffer_capacity;
-  o.net.n = c.n;
-  o.net.delay = net::DelayModel::fixed(c.link_delay);
-  o.net.buffer_capacity = c.buffer_capacity;
-  o.net.service_time = c.service_time;
-  o.net.injected_loss = c.injected_loss;
-  o.net.seed = c.seed;
+  o.net = mc_config(c);
   o.record_trace = c.check_correctness;
   o.obs = c.obs;
   o.tracer = c.tracer;
   return o;
+}
+
+/// The TO/PO runner: drive the workload on a baselines::SimCluster and fill
+/// in the metrics that apply (no PACK/ACK latencies, no ctrl PDUs).
+template <class Cluster>
+ExperimentResult run_baseline(Cluster& cluster, const ExperimentConfig& config) {
+  app::WorkloadDriver workload(
+      cluster.scheduler(), config.n, config.workload,
+      [&cluster](EntityId e, std::vector<std::uint8_t> data) {
+        cluster.broadcast(e, std::move(data));
+      });
+  workload.start();
+
+  ExperimentResult r;
+  r.completed = run_sim(cluster.scheduler(), config.deadline, [&] {
+    return workload.finished() && cluster.all_delivered();
+  });
+  r.sim_ms = sim::to_ms(cluster.scheduler().now());
+  const auto agg = cluster.aggregate_stats();
+  r.tco_us = agg.delivered
+                 ? static_cast<double>(agg.processing_ns) / 1e3 /
+                       static_cast<double>(agg.delivered)
+                 : 0.0;
+  r.data_pdus = agg.data_pdus_sent;
+  r.ret_pdus = agg.ret_pdus_sent;
+  r.retransmissions = agg.retransmissions_sent;
+  const auto& ns = cluster.network().stats();
+  r.wire_pdus = ns.pdus_sent;
+  r.dropped_overrun = ns.dropped_overrun;
+  r.dropped_injected = ns.dropped_injected;
+  if (r.sim_ms > 0.0)
+    r.delivered_msgs_per_sim_s =
+        static_cast<double>(agg.delivered) / (r.sim_ms / 1e3);
+  return r;
 }
 
 }  // namespace
@@ -75,14 +113,9 @@ ExperimentResult run_co_experiment(const ExperimentConfig& config) {
   r.sim_ms = sim::to_ms(cluster.scheduler().now());
 
   if (config.check_correctness) {
-    if (const auto v = cluster.check_co_service()) {
+    if (const auto v = cluster.check_co_service())
       r.violation = v->to_string() + "\nper-entity stats:\n" +
                     cluster.dump_entity_stats();
-      // Harness-level flight recorder: leave the event tail next to the
-      // verdict so the violation can be inspected without a re-run.
-      if (config.tracer != nullptr && !config.trace_dump_on_violation.empty())
-        config.tracer->write_snapshot_file(config.trace_dump_on_violation);
-    }
   }
   if (config.obs)
     r.metrics = config.obs->registry.snapshot(cluster.scheduler().now());
@@ -118,7 +151,6 @@ ExperimentResult run_co_experiment(const ExperimentConfig& config) {
 
 ExperimentResult run_to_experiment(const ExperimentConfig& config) {
   net::OneChannelConfig net_config;
-  net_config.n = config.n;
   net_config.propagation_delay = config.link_delay;
   net_config.buffer_capacity = config.buffer_capacity;
   net_config.service_time = config.service_time;
@@ -126,79 +158,13 @@ ExperimentResult run_to_experiment(const ExperimentConfig& config) {
   net_config.seed = config.seed;
   baselines::ToCluster cluster(config.n, net_config,
                                config.retransmit_timeout);
-  app::WorkloadDriver workload(
-      cluster.scheduler(), config.n, config.workload,
-      [&cluster](EntityId e, std::vector<std::uint8_t> data) {
-        cluster.broadcast(e, std::move(data));
-      });
-  workload.start();
-
-  ExperimentResult r;
-  r.completed = run_sim(cluster.scheduler(), config.deadline, [&] {
-    return workload.finished() && cluster.all_delivered();
-  });
-  r.sim_ms = sim::to_ms(cluster.scheduler().now());
-  const auto agg = cluster.aggregate_stats();
-  r.tco_us = agg.delivered
-                 ? static_cast<double>(agg.processing_ns) / 1e3 /
-                       static_cast<double>(agg.delivered)
-                 : 0.0;
-  r.data_pdus = agg.data_pdus_sent;
-  r.ret_pdus = agg.ret_pdus_sent;
-  r.retransmissions = agg.retransmissions_sent;
-  const auto& ns = cluster.network().stats();
-  r.wire_pdus = ns.pdus_sent;
-  r.dropped_overrun = ns.dropped_overrun;
-  r.dropped_injected = ns.dropped_injected;
-  if (r.sim_ms > 0.0)
-    r.delivered_msgs_per_sim_s =
-        static_cast<double>(agg.delivered) / (r.sim_ms / 1e3);
-  return r;
+  return run_baseline(cluster, config);
 }
 
 ExperimentResult run_po_experiment(const ExperimentConfig& config) {
-  net::McConfig net_config;
-  net_config.n = config.n;
-  net_config.delay = net::DelayModel::fixed(config.link_delay);
-  net_config.buffer_capacity = config.buffer_capacity;
-  net_config.service_time = config.service_time;
-  net_config.injected_loss = config.injected_loss;
-  net_config.seed = config.seed;
-  baselines::PoCluster cluster(config.n, net_config,
+  baselines::PoCluster cluster(config.n, mc_config(config),
                                config.retransmit_timeout);
-  app::WorkloadDriver workload(
-      cluster.scheduler(), config.n, config.workload,
-      [&cluster](EntityId e, std::vector<std::uint8_t> data) {
-        cluster.broadcast(e, std::move(data));
-      });
-  workload.start();
-
-  ExperimentResult r;
-  r.completed = run_sim(cluster.scheduler(), config.deadline, [&] {
-    return workload.finished() && cluster.all_delivered();
-  });
-  r.sim_ms = sim::to_ms(cluster.scheduler().now());
-  std::uint64_t delivered = 0;
-  std::uint64_t processing_ns = 0;
-  for (std::size_t i = 0; i < config.n; ++i) {
-    const auto& s = cluster.entity(static_cast<EntityId>(i)).stats();
-    delivered += s.delivered;
-    processing_ns += s.processing_ns;
-    r.data_pdus += s.data_pdus_sent;
-    r.ret_pdus += s.ret_pdus_sent;
-    r.retransmissions += s.retransmissions_sent;
-  }
-  r.tco_us = delivered ? static_cast<double>(processing_ns) / 1e3 /
-                             static_cast<double>(delivered)
-                       : 0.0;
-  const auto& ns = cluster.network().stats();
-  r.wire_pdus = ns.pdus_sent;
-  r.dropped_overrun = ns.dropped_overrun;
-  r.dropped_injected = ns.dropped_injected;
-  if (r.sim_ms > 0.0)
-    r.delivered_msgs_per_sim_s =
-        static_cast<double>(delivered) / (r.sim_ms / 1e3);
-  return r;
+  return run_baseline(cluster, config);
 }
 
 }  // namespace co::harness

@@ -51,10 +51,6 @@ struct ExperimentConfig {
   /// Optional binary event tracer (not owned; CO runs only): every protocol
   /// milestone becomes a 32-byte record (src/obs/trace). Null = off.
   obs::trace::Tracer* tracer = nullptr;
-  /// With a tracer attached and check_correctness on, a failing CO-service
-  /// check dumps the tracer's resident tail to this .cotrace path — the
-  /// harness-level flight recorder. Empty = no dump.
-  std::string trace_dump_on_violation;
 };
 
 struct ExperimentResult {

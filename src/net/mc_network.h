@@ -15,19 +15,27 @@
 // PDUs drained at one PDU per `service_time` (the entity's processing
 // speed). With service_time == 0 the entity is infinitely fast and overrun
 // never happens, which is exactly the "reliable network" ISIS assumes.
+//
+// Paper §2.1: the network layer offers a high-speed data-transmission
+// service through network SAPs N_1..N_n; the entities may fail to receive
+// PDUs because the network is faster than they are. The other model is
+// OneChannelNetwork (src/net/one_channel.h), the TO baseline's substrate;
+// both present the same attach/broadcast/free_buffer/stats surface.
 #pragma once
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "src/common/expect.h"
 #include "src/common/rng.h"
+#include "src/common/types.h"
 #include "src/net/delay.h"
 #include "src/net/fault.h"
-#include "src/net/network.h"
+#include "src/net/stats.h"
 #include "src/sim/scheduler.h"
 
 namespace co::net {
@@ -55,9 +63,11 @@ struct McConfig {
 };
 
 template <class Msg>
-class McNetwork final : public BroadcastNetwork<Msg> {
+class McNetwork final {
  public:
-  using typename BroadcastNetwork<Msg>::DeliverFn;
+  using Config = McConfig;
+  /// Invoked when a PDU reaches entity `self` (after queueing + service).
+  using DeliverFn = std::function<void(EntityId src, const Msg& msg)>;
 
   McNetwork(sim::Scheduler& sched, McConfig config)
       : sched_(sched),
@@ -69,13 +79,18 @@ class McNetwork final : public BroadcastNetwork<Msg> {
       last_arrival_.emplace_back(config_.n, -1);
   }
 
-  void attach(EntityId id, DeliverFn on_deliver) override {
+  /// Register entity `id`'s receive upcall. Must be called once per entity
+  /// before any broadcast.
+  void attach(EntityId id, DeliverFn on_deliver) {
     auto& rx = receiver(id);
     CO_EXPECT_MSG(!rx.deliver, "entity attached twice");
     rx.deliver = std::move(on_deliver);
   }
 
-  void broadcast(EntityId src, Msg msg) override {
+  /// Entity `src` broadcasts `msg` to every entity in the cluster
+  /// (including itself — the paper's examples count the sender among the
+  /// destinations and its own receipt is via local loopback, never lost).
+  void broadcast(EntityId src, Msg msg) {
     CO_EXPECT(valid(src));
     ++stats_.broadcasts;
     for (std::size_t dst = 0; dst < config_.n; ++dst)
@@ -89,9 +104,9 @@ class McNetwork final : public BroadcastNetwork<Msg> {
     transmit(src, dst, std::move(msg));
   }
 
-  std::size_t cluster_size() const override { return config_.n; }
-
-  BufUnits free_buffer(EntityId id) const override {
+  /// Free ingress-buffer units at `id` right now (the BUF field an entity
+  /// advertises on outgoing PDUs).
+  BufUnits free_buffer(EntityId id) const {
     const auto& rx = receiver(id);
     const std::size_t used = rx.queue.size();
     const BufUnits cap = effective_capacity(id, sched_.now());
@@ -99,7 +114,7 @@ class McNetwork final : public BroadcastNetwork<Msg> {
     return cap - static_cast<BufUnits>(used);
   }
 
-  const NetworkStats& stats() const override { return stats_; }
+  const NetworkStats& stats() const { return stats_; }
 
   /// Current ingress-queue occupancy at `id` (PDUs buffered, not the
   /// high-watermark in stats) — sampled by the observability gauges.

@@ -18,8 +18,10 @@ struct CbEnv {
 
   CbcastEntity make(EntityId self, std::size_t n) {
     return CbcastEntity(
-        self, n, [this](CbcastMsg m) { broadcasts.push_back(std::move(m)); },
-        [this](const CbcastMsg& m) { delivered.push_back(m.key()); });
+        self, n,
+        {[this](CbcastMsg m) { broadcasts.push_back(std::move(m)); },
+         [this](const CbcastMsg& m) { delivered.push_back(m.key()); },
+         {}});
   }
 };
 
@@ -40,7 +42,7 @@ TEST(CbcastEntityTest, InOrderMessageDeliversImmediately) {
   auto sender = env0.make(0, 2);
   auto receiver = env1.make(1, 2);
   sender.broadcast({1});
-  receiver.on_message(env0.broadcasts[0]);
+  receiver.on_message(0, env0.broadcasts[0]);
   ASSERT_EQ(env1.delivered.size(), 1u);
   EXPECT_EQ(receiver.delay_queue_size(), 0u);
 }
@@ -52,13 +54,13 @@ TEST(CbcastEntityTest, CausalGapDelaysDelivery) {
   auto b = env1.make(1, 3);
   auto c = env2.make(2, 3);
   a.broadcast({1});                    // m1
-  b.on_message(env0.broadcasts[0]);    // b has m1
+  b.on_message(0, env0.broadcasts[0]);  // b has m1
   b.broadcast({2});                    // m2 (depends on m1)
-  c.on_message(env1.broadcasts[0]);    // m2 arrives at c FIRST
+  c.on_message(1, env1.broadcasts[0]);  // m2 arrives at c FIRST
   EXPECT_EQ(env2.delivered.size(), 0u);
   EXPECT_EQ(c.delay_queue_size(), 1u);
   EXPECT_EQ(c.stats().delayed, 1u);
-  c.on_message(env0.broadcasts[0]);    // m1 arrives
+  c.on_message(0, env0.broadcasts[0]);  // m1 arrives
   ASSERT_EQ(env2.delivered.size(), 2u);
   EXPECT_EQ(env2.delivered[0], (causality::PduKey{0, 1}));
   EXPECT_EQ(env2.delivered[1], (causality::PduKey{1, 1}));
@@ -69,7 +71,7 @@ TEST(CbcastEntityTest, OwnLoopbackCopyIgnored) {
   CbEnv env;
   auto e = env.make(0, 2);
   e.broadcast({1});
-  e.on_message(env.broadcasts[0]);  // network loopback
+  e.on_message(0, env.broadcasts[0]);  // network loopback
   EXPECT_EQ(env.delivered.size(), 1u);  // not delivered twice
 }
 
@@ -82,12 +84,13 @@ struct ToEnv {
 
   ToEntity make(EntityId self, std::size_t n) {
     return ToEntity(
-        self, n, 1 * sim::kMillisecond,
-        [this](ToMessage m) { broadcasts.push_back(std::move(m)); },
-        [this](const ToPdu& p) { delivered.push_back(p.key()); },
-        [this](sim::SimDuration d, std::function<void()> fn) {
-          sched.schedule_after(d, std::move(fn));
-        });
+        self, n,
+        {[this](ToMessage m) { broadcasts.push_back(std::move(m)); },
+         [this](const ToPdu& p) { delivered.push_back(p.key()); },
+         [this](sim::SimDuration d, std::function<void()> fn) {
+           sched.schedule_after(d, std::move(fn));
+         }},
+        1 * sim::kMillisecond);
   }
 
   std::size_t count_pdus() const {
@@ -181,12 +184,13 @@ struct PoEnv {
 
   PoEntity make(EntityId self, std::size_t n) {
     return PoEntity(
-        self, n, 1 * sim::kMillisecond,
-        [this](PoMessage m) { broadcasts.push_back(std::move(m)); },
-        [this](const PoPdu& p) { delivered.push_back(p.key()); },
-        [this](sim::SimDuration d, std::function<void()> fn) {
-          sched.schedule_after(d, std::move(fn));
-        });
+        self, n,
+        {[this](PoMessage m) { broadcasts.push_back(std::move(m)); },
+         [this](const PoPdu& p) { delivered.push_back(p.key()); },
+         [this](sim::SimDuration d, std::function<void()> fn) {
+           sched.schedule_after(d, std::move(fn));
+         }},
+        1 * sim::kMillisecond);
   }
 };
 

@@ -1,7 +1,7 @@
 // Baseline protocol tests: ISIS CBCAST, TO (go-back-n), PO (LO service).
 #include <gtest/gtest.h>
 
-#include "src/baselines/baseline_clusters.h"
+#include "src/baselines/sim_cluster.h"
 
 namespace co::baselines {
 namespace {
@@ -184,6 +184,47 @@ TEST(PoProtocol, ViolatesCausalOrderAcrossSources) {
   ASSERT_TRUE(violation.has_value())
       << "PO delivered causally — expected the LO-service violation";
   EXPECT_EQ(violation->kind, "causality");
+}
+
+// ---------------------------------------------------------------------------
+// Every comparator on the one SimCluster
+// ---------------------------------------------------------------------------
+
+template <class NetConfig>
+NetConfig loss_free_net(std::size_t n);
+template <>
+net::McConfig loss_free_net(std::size_t n) {
+  return net::McConfig::reliable(n, 100_us);
+}
+template <>
+net::OneChannelConfig loss_free_net(std::size_t n) {
+  return one_channel(n);
+}
+
+template <class Cluster>
+class AnyBaseline : public ::testing::Test {};
+using BaselineClusters = ::testing::Types<CbcastCluster, ToCluster, PoCluster>;
+TYPED_TEST_SUITE(AnyBaseline, BaselineClusters);
+
+TYPED_TEST(AnyBaseline, LossFreeInterleavedRunPreservesInformationAndOrder) {
+  constexpr std::size_t kN = 4;
+  TypeParam c(kN, loss_free_net<typename TypeParam::Net::Config>(kN));
+  for (int round = 0; round < 8; ++round) {
+    for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e)
+      c.broadcast_text(e, "r" + std::to_string(round));
+    c.scheduler().run_until(c.scheduler().now() + 70_us);
+  }
+  ASSERT_TRUE(c.run(1'000 * sim::kMillisecond));
+  const auto& sends = c.oracle().sends();
+  ASSERT_EQ(sends.size(), 8 * kN);
+  EXPECT_EQ(sends, c.sent());
+  for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) {
+    EXPECT_EQ(causality::check_information_preserved(e, c.log(e), sends),
+              std::nullopt);
+    EXPECT_EQ(causality::check_local_order_preserved(e, c.log(e)),
+              std::nullopt);
+    for (const auto& key : c.log(e)) EXPECT_TRUE(c.oracle().has_accept(e, key));
+  }
 }
 
 }  // namespace
