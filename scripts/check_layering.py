@@ -4,8 +4,9 @@
 The protocol core must stay deployable without the simulator: src/co may
 not include anything from src/sim, src/net, src/transport or src/driver,
 the socket layer (src/transport) may include only src/common, the
-baselines (src/baselines) only the simulation substrate, and the
-realtime driver files may not include src/sim. Run from anywhere; exits
+baselines (src/baselines) only the simulation substrate, and the one
+driver (every src/driver file but the simulated cluster) may not include
+src/sim. Run from anywhere; exits
 non-zero and prints every violation as file:line: include.
 
 Rules (DESIGN.md "Layering"):
@@ -19,7 +20,9 @@ Rules (DESIGN.md "Layering"):
   src/host      -> no src/sim, no src/net (the sharded host runtime is the
                    deployable path: real sockets and the realtime driver
                    only, never the simulated network)
-  src/driver/realtime_driver.*, src/driver/timer_wheel.* -> no src/sim
+  src/driver except cluster.{h,cpp} -> no src/sim (the driver, its Env and
+                   the timer wheel are shared by the simulator and the host;
+                   only CoCluster wires them to the simulator)
 """
 from __future__ import annotations
 
@@ -67,13 +70,9 @@ ALLOW_ONLY = [
     ),
 ]
 
-# Individual realtime files inside src/driver that must stay sim-free
-# (the rest of src/driver IS the sim driver and legitimately uses src/sim).
-REALTIME_DRIVER_FILES = [
-    "src/driver/realtime_driver.h",
-    "src/driver/realtime_driver.cpp",
-    "src/driver/timer_wheel.h",
-]
+# The files of src/driver that wire the driver to the simulator; every other
+# file there is the one driver every runtime shares and must stay sim-free.
+SIM_CLUSTER_FILES = {"cluster.h", "cluster.cpp"}
 
 
 def includes_of(path: pathlib.Path):
@@ -103,16 +102,15 @@ def main() -> int:
         allowed = (scope + "/",) + allowed
         check(scope, lambda inc: not inc.startswith(allowed), why)
 
-    for rel in REALTIME_DRIVER_FILES:
-        path = REPO / rel
-        if not path.exists():
-            violations.append(f"{rel}: expected realtime driver file is missing")
+    for path in sorted((REPO / "src/driver").glob("*")):
+        if path.suffix not in (".h", ".cpp") or path.name in SIM_CLUSTER_FILES:
             continue
         for lineno, inc in includes_of(path):
             if inc.startswith("src/sim/"):
+                rel = path.relative_to(REPO)
                 violations.append(
                     f"{rel}:{lineno}: {inc}  "
-                    "(the realtime driver must not depend on the simulator)"
+                    "(the driver must not depend on the simulator)"
                 )
 
     if violations:
@@ -121,7 +119,7 @@ def main() -> int:
             print("  " + v)
         return 1
     print("layering: OK (src/co is sans-io; src/transport is the socket "
-          "layer; src/baselines shares nothing with CO; realtime path is "
+          "layer; src/baselines shares nothing with CO; the driver is "
           "sim-free)")
     return 0
 

@@ -25,7 +25,7 @@ void TraceRecorder::on_send(EntityId sender, const PduKey& key) {
   clk.tick(sender);
   send_clock_.emplace(key, clk);
   send_order_.push_back(key);
-  accepted_by_.emplace(key, std::vector<bool>(entity_clock_.size(), false));
+  accept_stamp_.emplace(key, std::vector<std::uint64_t>(entity_clock_.size()));
 }
 
 void TraceRecorder::on_accept(EntityId receiver, const PduKey& key) {
@@ -34,25 +34,20 @@ void TraceRecorder::on_accept(EntityId receiver, const PduKey& key) {
   const auto it = send_clock_.find(key);
   CO_EXPECT_MSG(it != send_clock_.end(),
                 "acceptance of never-sent PDU " << key);
-  auto& seen = accepted_by_.at(key);
-  CO_EXPECT_MSG(!seen[static_cast<std::size_t>(receiver)],
+  const auto r = static_cast<std::size_t>(receiver);
+  std::uint64_t& stamp = accept_stamp_.at(key)[r];
+  CO_EXPECT_MSG(stamp == 0,
                 "duplicate acceptance of " << key << " at E" << receiver);
-  seen[static_cast<std::size_t>(receiver)] = true;
-  auto& clk = entity_clock_[static_cast<std::size_t>(receiver)];
+  auto& clk = entity_clock_[r];
   clk.receive(receiver, it->second);
-  auto [slot, inserted] = accept_clock_.try_emplace(
-      key, std::vector<clocks::VectorClock>(entity_clock_.size()));
-  (void)inserted;
-  slot->second[static_cast<std::size_t>(receiver)] = clk;
+  stamp = clk[r];  // >= 1: receive ticks the receiver's own component
 }
 
-const clocks::VectorClock* TraceRecorder::accept_clock(
-    EntityId receiver, const PduKey& key) const {
-  const auto it = accept_clock_.find(key);
-  if (it == accept_clock_.end()) return nullptr;
-  const auto& vc = it->second[static_cast<std::size_t>(receiver)];
-  if (vc.size() == 0) return nullptr;  // never accepted there
-  return &vc;
+std::uint64_t TraceRecorder::accept_stamp(EntityId receiver,
+                                          const PduKey& key) const {
+  const auto it = accept_stamp_.find(key);
+  if (it == accept_stamp_.end()) return 0;
+  return it->second.at(static_cast<std::size_t>(receiver));
 }
 
 bool TraceRecorder::pre_acknowledges(const PduKey& p, const PduKey& q,
@@ -63,10 +58,9 @@ bool TraceRecorder::pre_acknowledges(const PduKey& p, const PduKey& q,
   // the chain reduces to s_j[p] -> s_j[q] (q sent after p).
   if (j == p.src)
     return clocks::VectorClock::happened_before(send_clock(p), send_clock(q));
-  const auto* rjp = accept_clock(j, p);
-  if (rjp == nullptr) return false;
-  // r_j[p] -> s_j[q]: both events at E_j, ordered by their clocks.
-  return clocks::VectorClock::happened_before(*rjp, send_clock(q));
+  // r_j[p] -> s_j[q]: both events at E_j, ordered by E_j's own component.
+  const std::uint64_t rjp = accept_stamp(j, p);
+  return rjp != 0 && rjp < send_clock(q)[static_cast<std::size_t>(j)];
 }
 
 bool TraceRecorder::pre_acknowledged_in(const PduKey& p, EntityId i) const {
@@ -115,9 +109,7 @@ bool TraceRecorder::has_send(const PduKey& key) const {
 }
 
 bool TraceRecorder::has_accept(EntityId receiver, const PduKey& key) const {
-  const auto it = accepted_by_.find(key);
-  if (it == accepted_by_.end()) return false;
-  return it->second.at(static_cast<std::size_t>(receiver));
+  return accept_stamp(receiver, key) != 0;
 }
 
 bool TraceRecorder::causally_precedes(const PduKey& p, const PduKey& q) const {
@@ -137,10 +129,10 @@ const clocks::VectorClock& TraceRecorder::send_clock(const PduKey& key) const {
 }
 
 std::size_t TraceRecorder::accept_count(const PduKey& key) const {
-  const auto it = accepted_by_.find(key);
-  if (it == accepted_by_.end()) return 0;
+  const auto it = accept_stamp_.find(key);
+  if (it == accept_stamp_.end()) return 0;
   std::size_t c = 0;
-  for (const bool b : it->second) c += b ? 1 : 0;
+  for (const std::uint64_t stamp : it->second) c += stamp != 0 ? 1 : 0;
   return c;
 }
 

@@ -15,7 +15,7 @@
 // validated against.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -42,10 +42,6 @@ class TraceRecorder {
 
   bool has_send(const PduKey& key) const;
   bool has_accept(EntityId receiver, const PduKey& key) const;
-
-  /// Vector clock of the acceptance event r_i[key] (null if not accepted).
-  const clocks::VectorClock* accept_clock(EntityId receiver,
-                                          const PduKey& key) const;
 
   /// Paper §3: q pre-acknowledges p for E_j in E_i (p ⇒_ji q) iff
   /// s[p] -> r_i[p] and s[p] -> r_j[p] -> s_j[q] -> r_i[q]: E_i has
@@ -81,10 +77,15 @@ class TraceRecorder {
   std::vector<clocks::VectorClock> entity_clock_;
   std::unordered_map<PduKey, clocks::VectorClock, PduKeyHash> send_clock_;
   std::vector<PduKey> send_order_;
-  std::unordered_map<PduKey, std::vector<bool>, PduKeyHash> accepted_by_;
-  // Acceptance-event clocks, per key per entity (empty = not accepted).
-  std::unordered_map<PduKey, std::vector<clocks::VectorClock>, PduKeyHash>
-      accept_clock_;
+  // Per key, per receiver E_j: E_j's own clock component at the acceptance
+  // r_j[key], 0 = not accepted there. Every event at E_j ticks that
+  // component, so it totally orders E_j's events: r_j[p] -> s_j[q] iff
+  // stamp < send_clock(q)[j]. One integer per (PDU, receiver) instead of a
+  // whole n-entry clock keeps the oracle O(n) per PDU.
+  std::unordered_map<PduKey, std::vector<std::uint64_t>, PduKeyHash>
+      accept_stamp_;
+
+  std::uint64_t accept_stamp(EntityId receiver, const PduKey& key) const;
 };
 
 }  // namespace co::causality

@@ -77,11 +77,6 @@ struct CoConfig {
   /// shows the CO service is violated without the gate. Leave on.
   bool causal_pack_gate = true;
 
-  /// When true, the entity records per-PDU acceptance->PACK->ACK latencies
-  /// (experiment E2); the acceptance timestamp rides in the RRL/PRL entry,
-  /// so the cost is one clock read per accepted PDU.
-  bool record_latencies = true;
-
   /// Deliberate defect injected for fuzzer self-validation; kNone in any
   /// real run.
   Mutation mutation = Mutation::kNone;

@@ -448,8 +448,7 @@ void CoCore::accept(const PduRef& ref) {
   buf_[j] = pdu.buf;
   // Share the body into the RRL; the acceptance timestamp rides along so
   // the PACK/ACK latency metrics need no side table.
-  rrl_[j].push_back(Prl::Entry{
-      ref, config_.record_latencies ? now_ : time::Tick{0}});
+  rrl_[j].push_back(Prl::Entry{ref, now_});
   if (rrl_[j].size() == 1) rrl_head_seq_[j] = pdu.seq;
   stats_.max_rrl = std::max(stats_.max_rrl, rrl_[j].size());
   ++stats_.pdus_accepted;
@@ -855,6 +854,35 @@ std::optional<std::string> CoCore::knowledge_invariant_violation() const {
   return std::nullopt;
 }
 
+CoEntityStats& CoEntityStats::operator+=(const CoEntityStats& o) {
+  data_pdus_sent += o.data_pdus_sent;
+  ctrl_pdus_sent += o.ctrl_pdus_sent;
+  ret_pdus_sent += o.ret_pdus_sent;
+  retransmissions_sent += o.retransmissions_sent;
+  pdus_accepted += o.pdus_accepted;
+  duplicates_dropped += o.duplicates_dropped;
+  foreign_cluster_dropped += o.foreign_cluster_dropped;
+  malformed_dropped += o.malformed_dropped;
+  parked_out_of_order += o.parked_out_of_order;
+  pre_acknowledged += o.pre_acknowledged;
+  acknowledged += o.acknowledged;
+  delivered_to_app += o.delivered_to_app;
+  f1_detections += o.f1_detections;
+  f2_detections += o.f2_detections;
+  ret_retries += o.ret_retries;
+  heartbeats_sent += o.heartbeats_sent;
+  flow_blocked += o.flow_blocked;
+  processing_ns += o.processing_ns;
+  messages_processed += o.messages_processed;
+  max_rrl = std::max(max_rrl, o.max_rrl);
+  max_prl = std::max(max_prl, o.max_prl);
+  max_sl = std::max(max_sl, o.max_sl);
+  max_parked = std::max(max_parked, o.max_parked);
+  accept_to_pack_ms.merge(o.accept_to_pack_ms);
+  accept_to_ack_ms.merge(o.accept_to_ack_ms);
+  return *this;
+}
+
 std::ostream& operator<<(std::ostream& os, const CoEntityStats& s) {
   return os << "{data_sent=" << s.data_pdus_sent
             << " ctrl_sent=" << s.ctrl_pdus_sent
@@ -875,12 +903,10 @@ std::ostream& operator<<(std::ostream& os, const CoEntityStats& s) {
 }
 
 void CoCore::note_pack_time(const Prl::Entry& entry) {
-  if (!config_.record_latencies) return;
   stats_.accept_to_pack_ms.add(time::to_ms(now_ - entry.accepted_at));
 }
 
 void CoCore::note_ack_time(const Prl::Entry& entry) {
-  if (!config_.record_latencies) return;
   stats_.accept_to_ack_ms.add(time::to_ms(now_ - entry.accepted_at));
 }
 

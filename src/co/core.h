@@ -1,15 +1,18 @@
 // CoCore — one system entity E_i of the CO protocol (paper §4), as a
 // sans-io effect machine.
 //
-// The core performs no I/O and reads no clock. A driver feeds it Inputs
+// The core performs no I/O, and its protocol time is only what each Input
+// carries. The one clock it reads is wall_ns(), around arrival ingest and the
+// receipt pipeline, to account CoEntityStats::processing_ns (Tco); no
+// protocol decision depends on it. A driver feeds it Inputs
 // (src/co/effects.h) through step() and replays the typed Effects the core
 // appends to a caller-owned EffectBatch:
 //
 //   driver time/network/app --Input--> CoCore::step --Effect--> driver I/O
 //
-// Drivers: src/driver/sim_driver.h (deterministic simulation, one input per
-// scheduler event), src/driver/realtime_driver.h (UDP transport on a
-// monotonic-clock timer wheel), and the fuzz driver's effect recorder.
+// The one driver is src/driver/driver.h; its Env decides where timers live
+// (scheduler events in the simulated CoCluster, a monotonic-clock
+// TimerWheel in the UDP host).
 // There are no callbacks, no virtual dispatch and no std::function on this
 // path; the only observation channel is the synchronous CoObserver, which
 // is introspection, not I/O.
@@ -111,6 +114,10 @@ struct CoEntityStats {
   /// harness to read entity statistics.
   using Snapshot = CoEntityStats;
   Snapshot snapshot() const { return *this; }
+
+  /// Aggregate another entity's stats: counters sum, the max_* high-
+  /// watermarks take the larger, the latency accumulators merge.
+  CoEntityStats& operator+=(const CoEntityStats& o);
 };
 
 std::ostream& operator<<(std::ostream& os, const CoEntityStats& s);

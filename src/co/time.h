@@ -1,12 +1,12 @@
 // Protocol time — plain integral instants and durations.
 //
-// The CO core is sans-io: it never reads a clock. Whoever drives it (the
-// simulator's scheduler, the realtime timer wheel, a fuzz replay) stamps
-// every Input with the current Tick and receives timer deadlines back as
-// absolute Deadlines. A Tick is a count of nanoseconds since an epoch the
-// driver chooses — simulation start for SimDriver, node start for
-// RealtimeDriver — and the core only ever subtracts and compares them, so
-// the epoch never matters.
+// The CO core is sans-io: its protocol time is never read from a clock.
+// Whoever drives it (the simulator's scheduler, a host shard's monotonic
+// clock, a fuzz replay) stamps every Input with the current Tick and
+// receives timer deadlines back as absolute Deadlines. A Tick is a count of
+// nanoseconds since an epoch the driver's owner chooses — simulation start
+// in a CoCluster, host start in a host::Host — and the core only ever
+// subtracts and compares them, so the epoch never matters.
 //
 // src/sim/time.h aliases these types (SimTime = time::Tick), which keeps
 // the two time domains the same integer and conversions free; the layering

@@ -1,6 +1,6 @@
 #include "src/driver/cluster.h"
 
-#include <algorithm>
+#include <deque>
 #include <sstream>
 
 #include "src/common/expect.h"
@@ -9,14 +9,23 @@
 
 namespace co::proto {
 
-// Per-entity observation point. Bookkeeping happens first (delivery
-// expectations, oracle, span tracker, tracer), then every callback is
-// forwarded to the user observer — so a user tap sees the cluster's state
-// already consistent with the event it is being told about.
-class CoCluster::EntityObserver final : public CoObserver {
+// One simulated entity. As the core's CoObserver it does the cluster's
+// bookkeeping first (delivery expectations, oracle, span tracker, tracer)
+// and then forwards every callback to the user observer — so a user tap sees
+// the cluster's state already consistent with the event it is told about.
+// As the driver's Env it puts broadcasts on the MC network and maps each of
+// the core's one-shot timers onto one scheduler TimerHandle slot: when a
+// slot fires its handle is already spent, so the timer reads non-pending
+// inside the handler, as Driver::fire requires.
+class CoCluster::Entity final : public CoObserver, public driver::Env {
  public:
-  EntityObserver(CoCluster& cluster, EntityId id)
-      : cluster_(cluster), id_(id) {}
+  Entity(CoCluster& cluster, EntityId id)
+      : core(id, cluster.options_.proto, this),
+        driver(core, *this, cluster.options_.effect_tap),
+        cluster_(cluster),
+        id_(id) {}
+
+  // --- CoObserver -----------------------------------------------------------
 
   void on_send(const PduKey& key, bool is_data) override {
     CoCluster& c = cluster_;
@@ -25,13 +34,11 @@ class CoCluster::EntityObserver final : public CoObserver {
       c.options_.obs->spans.on_send(key, is_data, c.sched_.now());
     if (is_data) {
       c.data_sent_.push_back(key);
-      auto& pending = c.pending_dst_[static_cast<std::size_t>(id_)];
-      const DstMask dst = pending.empty() ? kEveryone : pending.front();
-      if (!pending.empty()) pending.pop_front();
+      const DstMask dst = pending_dst.empty() ? kEveryone : pending_dst.front();
+      if (!pending_dst.empty()) pending_dst.pop_front();
       c.sent_dst_.emplace(key, dst);
-      for (std::size_t e = 0; e < c.expected_deliveries_.size(); ++e)
-        if (dst_contains(dst, static_cast<EntityId>(e)))
-          ++c.expected_deliveries_[e];
+      for (const auto& e : c.entities_)
+        if (dst_contains(dst, e->id_)) ++e->expected_deliveries;
     }
     if (c.trace_) c.trace_->on_send(id_, key);
     trace_emit(obs::trace::EventId::kSend, key, is_data ? 1 : 0);
@@ -54,6 +61,43 @@ class CoCluster::EntityObserver final : public CoObserver {
     user().on_event(id, key, arg);
   }
 
+  // --- driver::Env ----------------------------------------------------------
+
+  void broadcast(Message&& msg) override {
+    cluster_.network_->broadcast(id_, std::move(msg));
+  }
+
+  void deliver(const CoPdu& pdu) override {
+    const sim::SimTime now = cluster_.sched_.now();
+    deliveries.push_back(Delivery{pdu.key(), pdu.data, now});
+    const auto it = cluster_.sent_at_.find(pdu.key());
+    if (it != cluster_.sent_at_.end())
+      cluster_.tap_ms_.add(sim::to_ms(now - it->second));
+  }
+
+  void arm(TimerId timer, time::Deadline deadline) override {
+    timers_[static_cast<std::size_t>(timer)] =
+        cluster_.sched_.schedule_at(deadline, [this, timer] {
+          driver.fire(timer, cluster_.sched_.now());
+        });
+  }
+
+  void cancel(TimerId timer) override {
+    timers_[static_cast<std::size_t>(timer)].cancel();
+  }
+
+  BufUnits free_buffer() override {
+    return cluster_.network_->free_buffer(id_);
+  }
+
+  CoCore core;
+  driver::Driver driver;
+  std::vector<Delivery> deliveries;
+  // Data PDUs destined here so far: deliveries.size() must reach it.
+  std::uint64_t expected_deliveries = 0;
+  // Masks of queued-but-unsent DT requests (FIFO: the app queue is).
+  std::deque<DstMask> pending_dst;
+
  private:
   CoObserver& user() const {
     return cluster_.options_.observer != nullptr ? *cluster_.options_.observer
@@ -61,7 +105,7 @@ class CoCluster::EntityObserver final : public CoObserver {
   }
 
   /// Stamp scheduler time onto a binary trace record; the entity's track is
-  /// this observer's entity, the causal identity is the PduKey.
+  /// this entity, the causal identity is the PduKey.
   void trace_emit(obs::trace::EventId event, const PduKey& key,
                   std::uint32_t arg = 0) const {
     if (cluster_.options_.tracer != nullptr)
@@ -71,6 +115,7 @@ class CoCluster::EntityObserver final : public CoObserver {
 
   CoCluster& cluster_;
   EntityId id_;
+  sim::TimerHandle timers_[kTimerCount];
 };
 
 CoCluster::CoCluster(ClusterOptions options) : options_(std::move(options)) {
@@ -80,67 +125,43 @@ CoCluster::CoCluster(ClusterOptions options) : options_(std::move(options)) {
   network_ = std::make_unique<net::McNetwork<Message>>(sched_, options_.net);
   if (options_.record_trace)
     trace_ = std::make_unique<causality::TraceRecorder>(proto.n);
-  deliveries_.resize(proto.n);
-  expected_deliveries_.assign(proto.n, 0);
-  pending_dst_.resize(proto.n);
-
-  for (std::size_t i = 0; i < proto.n; ++i) {
-    const auto id = static_cast<EntityId>(i);
-    observers_.push_back(std::make_unique<EntityObserver>(*this, id));
+  for (std::size_t i = 0; i < proto.n; ++i)
     entities_.push_back(
-        std::make_unique<CoCore>(id, proto, observers_.back().get()));
-    driver::SimDriver::Hooks hooks;
-    hooks.broadcast = [this, id](Message m) {
-      network_->broadcast(id, std::move(m));
-    };
-    hooks.deliver = [this, id](const CoPdu& p) {
-      deliveries_[static_cast<std::size_t>(id)].push_back(
-          Delivery{p.key(), p.data, sched_.now()});
-      const auto it = sent_at_.find(p.key());
-      if (it != sent_at_.end())
-        tap_ms_.add(sim::to_ms(sched_.now() - it->second));
-    };
-    hooks.free_buffer = [this, id] { return network_->free_buffer(id); };
-    drivers_.push_back(std::make_unique<driver::SimDriver>(
-        *entities_.back(), sched_, std::move(hooks), options_.effect_tap));
-  }
+        std::make_unique<Entity>(*this, static_cast<EntityId>(i)));
   if (options_.obs) register_observability();
-  for (std::size_t i = 0; i < proto.n; ++i) {
-    const auto id = static_cast<EntityId>(i);
-    network_->attach(id, [this, id](EntityId from, const Message& msg) {
-      drivers_[static_cast<std::size_t>(id)]->on_message(from, msg);
-    });
+  for (const auto& e : entities_) {
+    Entity* entity = e.get();
+    network_->attach(entity->core.self(),
+                     [this, entity](EntityId from, const Message& msg) {
+                       entity->driver.on_message(from, msg, sched_.now());
+                     });
   }
 }
 
 CoCluster::~CoCluster() = default;
 
-CoCore& CoCluster::entity(EntityId i) {
+CoCluster::Entity& CoCluster::at(EntityId i) const {
   CO_EXPECT(i >= 0 && static_cast<std::size_t>(i) < entities_.size());
   return *entities_[static_cast<std::size_t>(i)];
 }
 
-const CoCore& CoCluster::entity(EntityId i) const {
-  CO_EXPECT(i >= 0 && static_cast<std::size_t>(i) < entities_.size());
-  return *entities_[static_cast<std::size_t>(i)];
-}
+CoCore& CoCluster::entity(EntityId i) { return at(i).core; }
 
-driver::SimDriver& CoCluster::entity_driver(EntityId i) {
-  CO_EXPECT(i >= 0 && static_cast<std::size_t>(i) < drivers_.size());
-  return *drivers_[static_cast<std::size_t>(i)];
-}
+const CoCore& CoCluster::entity(EntityId i) const { return at(i).core; }
+
+driver::Driver& CoCluster::entity_driver(EntityId i) { return at(i).driver; }
 
 void CoCluster::submit(EntityId i, std::vector<std::uint8_t> data,
                        proto::DstMask dst) {
   CO_EXPECT(!data.empty());
+  Entity& e = at(i);
   ++submitted_;
   // The destination mask travels out-of-band to the observer: each entity's
   // DT requests leave its app queue in FIFO order, so the pending masks
   // line up with its data PDUs as they hit the wire.
-  pending_dst_[static_cast<std::size_t>(i)].push_back(dst);
+  e.pending_dst.push_back(dst);
   if (options_.obs) options_.obs->spans.on_submit(i, sched_.now());
-  CO_EXPECT(i >= 0 && static_cast<std::size_t>(i) < drivers_.size());
-  drivers_[static_cast<std::size_t>(i)]->submit(std::move(data), dst);
+  e.driver.submit(std::move(data), dst, sched_.now());
 }
 
 void CoCluster::submit_text(EntityId i, std::string_view text,
@@ -152,13 +173,13 @@ bool CoCluster::all_delivered() const {
   // Every data PDU submitted must have left the app queues...
   std::uint64_t sent = 0;
   for (const auto& e : entities_) {
-    if (e->app_queue_depth() != 0) return false;
-    sent += e->stats().data_pdus_sent;
+    if (e->core.app_queue_depth() != 0) return false;
+    sent += e->core.stats().data_pdus_sent;
   }
   if (sent != submitted_) return false;
   // ...and have been delivered at every entity it was destined to.
-  for (std::size_t e = 0; e < deliveries_.size(); ++e)
-    if (deliveries_[e].size() != expected_deliveries_[e]) return false;
+  for (const auto& e : entities_)
+    if (e->deliveries.size() != e->expected_deliveries) return false;
   return true;
 }
 
@@ -178,8 +199,7 @@ void CoCluster::run_for(sim::SimDuration span) {
 }
 
 const std::vector<Delivery>& CoCluster::deliveries(EntityId i) const {
-  CO_EXPECT(i >= 0 && static_cast<std::size_t>(i) < deliveries_.size());
-  return deliveries_[static_cast<std::size_t>(i)];
+  return at(i).deliveries;
 }
 
 causality::DeliveryLog CoCluster::delivered_keys(EntityId i) const {
@@ -190,8 +210,8 @@ causality::DeliveryLog CoCluster::delivered_keys(EntityId i) const {
 
 std::vector<causality::DeliveryLog> CoCluster::all_delivered_keys() const {
   std::vector<causality::DeliveryLog> logs;
-  logs.reserve(deliveries_.size());
-  for (std::size_t i = 0; i < deliveries_.size(); ++i)
+  logs.reserve(entities_.size());
+  for (std::size_t i = 0; i < entities_.size(); ++i)
     logs.push_back(delivered_keys(static_cast<EntityId>(i)));
   return logs;
 }
@@ -230,7 +250,7 @@ void CoCluster::register_observability() {
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<EntityId>(i);
     const obs::Labels ent = {{"entity", "E" + std::to_string(i)}};
-    const CoCore* e = entities_[i].get();
+    const CoCore* e = &entities_[i]->core;
     auto add_kind = [&](const char* kind, SnapField field, const char* help) {
       obs::Labels labels = ent;
       labels.emplace_back("kind", kind);
@@ -329,38 +349,14 @@ std::string CoCluster::dump_entity_stats() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < entities_.size(); ++i) {
     if (i) os << '\n';
-    os << 'E' << i << ' ' << entities_[i]->stats();
+    os << 'E' << i << ' ' << entities_[i]->core.stats();
   }
   return os.str();
 }
 
 CoEntityStats CoCluster::aggregate_stats() const {
   CoEntityStats agg;
-  for (const auto& e : entities_) {
-    const CoEntityStats::Snapshot s = e->stats().snapshot();
-    agg.data_pdus_sent += s.data_pdus_sent;
-    agg.ctrl_pdus_sent += s.ctrl_pdus_sent;
-    agg.ret_pdus_sent += s.ret_pdus_sent;
-    agg.retransmissions_sent += s.retransmissions_sent;
-    agg.pdus_accepted += s.pdus_accepted;
-    agg.duplicates_dropped += s.duplicates_dropped;
-    agg.parked_out_of_order += s.parked_out_of_order;
-    agg.pre_acknowledged += s.pre_acknowledged;
-    agg.acknowledged += s.acknowledged;
-    agg.delivered_to_app += s.delivered_to_app;
-    agg.f1_detections += s.f1_detections;
-    agg.f2_detections += s.f2_detections;
-    agg.ret_retries += s.ret_retries;
-    agg.flow_blocked += s.flow_blocked;
-    agg.processing_ns += s.processing_ns;
-    agg.messages_processed += s.messages_processed;
-    agg.max_rrl = std::max(agg.max_rrl, s.max_rrl);
-    agg.max_prl = std::max(agg.max_prl, s.max_prl);
-    agg.max_sl = std::max(agg.max_sl, s.max_sl);
-    agg.max_parked = std::max(agg.max_parked, s.max_parked);
-    agg.accept_to_pack_ms.merge(s.accept_to_pack_ms);
-    agg.accept_to_ack_ms.merge(s.accept_to_ack_ms);
-  }
+  for (const auto& e : entities_) agg += e->core.stats().snapshot();
   return agg;
 }
 

@@ -2,15 +2,15 @@
 // protocol over the MC network, with the causality oracle attached.
 //
 // This is the top-level convenience used by tests, examples and benches:
-// it owns the scheduler, the network, the n sans-io cores and the SimDriver
-// that animates each of them, per-entity delivery logs, and the
-// happened-before trace. Each entity observes protocol milestones through a
-// per-entity CoObserver the cluster installs; user taps ride behind it via
-// ClusterOptions::observer (or ClusterBuilder::observer).
+// it owns the scheduler, the network, the n sans-io cores and the
+// driver::Driver that animates each of them, per-entity delivery logs, and
+// the happened-before trace. Each entity is one cluster-side adapter that is
+// both its core's CoObserver and its driver's Env: timers become scheduler
+// events, broadcasts go to the MC network. User taps ride behind the
+// observer via ClusterOptions::observer (or ClusterBuilder::observer).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
@@ -22,7 +22,7 @@
 #include "src/co/core.h"
 #include "src/co/observer.h"
 #include "src/common/stats.h"
-#include "src/driver/sim_driver.h"
+#include "src/driver/driver.h"
 #include "src/net/mc_network.h"
 #include "src/sim/scheduler.h"
 
@@ -50,7 +50,7 @@ struct ClusterOptions {
   /// MulticastObserver. Null = no tap.
   CoObserver* observer = nullptr;
   /// Optional effect-stream tap (not owned): sees every entity's effect
-  /// batches before the SimDriver replays them (src/driver/effect_tap.h).
+  /// batches before the driver replays them (src/driver/effect_tap.h).
   /// The fuzz driver records and digests the stream this way. Null = off.
   driver::EffectTap* effect_tap = nullptr;
   /// Optional binary event tracer (not owned): every entity's protocol
@@ -76,9 +76,9 @@ class CoCluster {
   net::McNetwork<Message>& network() { return *network_; }
   CoCore& entity(EntityId i);
   const CoCore& entity(EntityId i) const;
-  /// The SimDriver animating entity `i` — the injection point for tests
-  /// that feed a message straight to one entity, bypassing the network.
-  driver::SimDriver& entity_driver(EntityId i);
+  /// The driver animating entity `i` — the injection point for tests that
+  /// feed a message straight to one entity, bypassing the network.
+  driver::Driver& entity_driver(EntityId i);
   const causality::TraceRecorder& oracle() const { return *trace_; }
 
   /// Application DT request at entity `i`, destined to `dst` (default: the
@@ -127,10 +127,12 @@ class CoCluster {
   std::string dump_entity_stats() const;
 
  private:
-  /// Per-entity CoObserver the cluster installs: keeps the delivery
-  /// bookkeeping, oracle, span tracker and tracer fed, then forwards
-  /// every callback to the user observer (ClusterOptions::observer).
-  class EntityObserver;
+  /// One simulated entity: its core, its driver, and the adapter that is
+  /// both the core's CoObserver (delivery bookkeeping, oracle, span
+  /// tracker, tracer, then the user observer) and the driver's Env
+  /// (network, delivery log, scheduler-backed timers).
+  class Entity;
+  Entity& at(EntityId i) const;
 
   /// Register callback instruments for every entity, the network and the
   /// scheduler with options_.obs->registry (ctor tail, obs attached only).
@@ -141,17 +143,11 @@ class CoCluster {
   sim::Scheduler sched_;
   std::unique_ptr<net::McNetwork<Message>> network_;
   std::unique_ptr<causality::TraceRecorder> trace_;
-  std::vector<std::unique_ptr<EntityObserver>> observers_;
-  std::vector<std::unique_ptr<CoCore>> entities_;
-  std::vector<std::unique_ptr<driver::SimDriver>> drivers_;
-  std::vector<std::vector<Delivery>> deliveries_;
+  std::vector<std::unique_ptr<Entity>> entities_;
   std::vector<PduKey> data_sent_;
   std::unordered_map<PduKey, sim::SimTime, causality::PduKeyHash> sent_at_;
-  // Destination set per data PDU, and how many deliveries each entity owes.
+  // Destination set per data PDU.
   std::unordered_map<PduKey, DstMask, causality::PduKeyHash> sent_dst_;
-  // Masks of queued-but-unsent DT requests, per entity (FIFO per entity).
-  std::vector<std::deque<DstMask>> pending_dst_;
-  std::vector<std::uint64_t> expected_deliveries_;
   std::uint64_t submitted_ = 0;
   OnlineStats tap_ms_;
 };
@@ -191,10 +187,6 @@ class ClusterBuilder {
     options_.record_trace = on;
     return *this;
   }
-  ClusterBuilder& observability(obs::Observability* bundle) {
-    options_.obs = bundle;
-    return *this;
-  }
   ClusterBuilder& observer(CoObserver* tap) {
     options_.observer = tap;
     return *this;
@@ -211,8 +203,8 @@ class ClusterBuilder {
   const ClusterOptions& options() const { return options_; }
 
   /// Validate the assembled options and construct the cluster. Returns a
-  /// unique_ptr because CoCluster pins its address (the drivers' hooks
-  /// point back into it).
+  /// unique_ptr because CoCluster pins its address (every entity's
+  /// adapter points back into it).
   std::unique_ptr<CoCluster> build() const {
     options_.proto.validate();
     return std::make_unique<CoCluster>(options_);

@@ -1,7 +1,8 @@
 // EffectTap — passive observation of the effect stream a driver replays.
 //
-// A driver invokes the tap once per non-empty step, before replaying the
-// batch into its environment. The fuzz driver's recorder uses this to fold
+// driver::Driver invokes the tap once per non-empty step, before replaying
+// the batch into its Env, whichever runtime owns it (ClusterOptions::
+// effect_tap in the simulator). The fuzz runner's recorder uses this to fold
 // every effect into a digest and to snapshot effect transcripts for
 // counterexample artifacts; nothing in the protocol depends on a tap being
 // present.

@@ -128,11 +128,6 @@ HostBuilder& HostBuilder::deliver(DeliverFn fn) {
   return *this;
 }
 
-HostBuilder& HostBuilder::observer(proto::CoObserver* tap) {
-  observer_ = tap;
-  return *this;
-}
-
 HostBuilder& HostBuilder::tracer(obs::trace::Tracer* tracer) {
   tracer_ = tracer;
   return *this;
@@ -209,16 +204,7 @@ std::unique_ptr<Host> HostBuilder::build() {
     cfg.id = id;
     cfg.proto = proto_;
     cfg.socket.bind_loopback(ep.port);
-    cfg.observer = observer_;
-    if (tap != nullptr && observer_ != nullptr) {
-      auto fan = std::make_unique<proto::MulticastObserver>();
-      fan->add(observer_);
-      fan->add(tap);
-      cfg.observer = fan.get();
-      host->owned_observers_.push_back(std::move(fan));
-    } else if (tap != nullptr) {
-      cfg.observer = tap;
-    }
+    cfg.observer = tap;
     cfg.tracer = tracer_;
     cfg.send_loss_probability = send_loss_;
     cfg.loss_seed = loss_seed_ + static_cast<std::uint64_t>(id);

@@ -28,8 +28,7 @@
 //     (the SPSC ring's contract); different entities may be fed from
 //     different threads concurrently.
 //   * the deliver callback runs on the shard thread owning the delivering
-//     entity; the builder-supplied observer runs on shard threads too and
-//     must be thread-safe if entities span shards.
+//     entity, and so does that entity's observer tap.
 //   * wire_stats()/protocol_stats() are stable after stop(); while running
 //     they are best-effort (counters mutate on shard threads).
 #pragma once
@@ -121,8 +120,6 @@ class Host {
   DeliverFn deliver_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<EntityRuntime*> by_entity_;  // EntityId -> runtime (or null)
-  // Fan-outs combining the shared observer with per-entity taps.
-  std::vector<std::unique_ptr<proto::MulticastObserver>> owned_observers_;
   std::size_t locals_ = 0;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::thread> threads_;
@@ -155,8 +152,7 @@ class HostBuilder {
   /// Declare a local entity bound to `ep` (default: loopback, ephemeral
   /// port — resolved after build() via Host::endpoint()). `tap` is an
   /// optional per-entity observer (the CoObserver callbacks carry no
-  /// receiver identity, so per-entity oracles need one tap per entity); it
-  /// runs alongside the shared observer() when both are set.
+  /// receiver identity, so per-entity oracles need one tap per entity).
   HostBuilder& entity(EntityId id,
                       transport::UdpEndpoint ep =
                           transport::UdpEndpoint::loopback(0),
@@ -165,9 +161,6 @@ class HostBuilder {
   /// host is bound, via Host::set_peer()).
   HostBuilder& peer(EntityId id, transport::UdpEndpoint ep);
   HostBuilder& deliver(DeliverFn fn);
-  /// Shared protocol observer (not owned; runs on shard threads — must be
-  /// thread-safe when entities span shards).
-  HostBuilder& observer(proto::CoObserver* tap);
   /// Shared binary event tracer (not owned; one lock-free stream per shard
   /// thread, so the merged snapshot is the cross-shard record).
   HostBuilder& tracer(obs::trace::Tracer* tracer);
@@ -204,7 +197,6 @@ class HostBuilder {
   std::vector<LocalEntity> entities_;
   std::vector<std::pair<EntityId, transport::UdpEndpoint>> remote_peers_;
   DeliverFn deliver_;
-  proto::CoObserver* observer_ = nullptr;
   obs::trace::Tracer* tracer_ = nullptr;
   double send_loss_ = 0.0;
   std::uint64_t loss_seed_ = Rng::kDefaultSeed;

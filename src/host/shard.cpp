@@ -45,8 +45,8 @@ EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
     }
   }
   core_ = std::make_unique<proto::CoCore>(id_, config.proto, observer);
-  driver_ = std::make_unique<driver::RealtimeDriver>(
-      *core_, static_cast<driver::RealtimeEnv&>(*this));
+  driver_ = std::make_unique<driver::Driver>(
+      *core_, static_cast<driver::Env&>(*this));
   driver_->set_tracer(tracer_);
 }
 
@@ -76,7 +76,7 @@ SubmitResult EntityRuntime::submit(std::vector<std::uint8_t> data,
   return SubmitResult::kAccepted;
 }
 
-void EntityRuntime::broadcast(const proto::Message& msg) {
+void EntityRuntime::broadcast(proto::Message&& msg) {
   shard_.broadcast_from(*this, msg);
 }
 
@@ -245,7 +245,13 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   for (auto& e : entities_) {
     activity |= drain_submissions(*e, now);
     if (e->trace_bridge_) e->trace_bridge_->set_now(now);
-    const bool fired = e->driver_->run_timers(now) > 0;
+    // pop_due disarms before fire() dispatches, and handlers re-arm with
+    // strictly positive timeouts, so this loop terminates.
+    bool fired = false;
+    while (const auto due = e->wheel_.pop_due(now)) {
+      e->driver_->fire(*due, now);
+      fired = true;
+    }
     if (fired) pump_self(*e, now);
     activity |= fired;
   }
@@ -257,7 +263,7 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   // latency in microseconds while traffic is hot).
   std::optional<time::Deadline> earliest;
   for (const auto& e : entities_)
-    if (const auto next = e->driver_->next_deadline())
+    if (const auto next = e->wheel_.next_deadline())
       if (!earliest || *next < *earliest) earliest = *next;
   const bool hot = spin_ns_ > 0 && now - last_activity_ < spin_ns_;
   int wait_ms = hot ? 0 : clamped_poll_wait_ms(max_wait.count(), now,

@@ -2,9 +2,10 @@
 //
 // The sharded host runtime (src/host/host.h) splits its local entities
 // across N shards; each shard owns its entities outright — their sans-io
-// CoCore, the RealtimeDriver + TimerWheel animating it, the entity's bound
-// UDP socket, and the SPSC submission ring application threads feed — so
-// the shard's event loop touches no shared mutable state and takes no lock:
+// CoCore, the driver::Driver animating it, the TimerWheel its timers arm,
+// the entity's bound UDP socket, and the SPSC submission ring application
+// threads feed — so the shard's event loop touches no shared mutable state
+// and takes no lock:
 //
 //   app thread --SpscRing--> [shard thread: drain -> timers -> poll ->
 //                             recvmmsg -> batched core step -> sendmmsg]
@@ -50,7 +51,8 @@
 
 #include "src/co/core.h"
 #include "src/common/rng.h"
-#include "src/driver/realtime_driver.h"
+#include "src/driver/driver.h"
+#include "src/driver/timer_wheel.h"
 #include "src/host/spsc.h"
 #include "src/host/wakeup.h"
 #include "src/obs/trace/bridge.h"
@@ -142,8 +144,8 @@ struct EntityRuntimeConfig {
   EntityId id = kNoEntity;
   proto::CoConfig proto;
   transport::UdpSocket socket;  // already bound
-  /// Shared user observer (nullable; callbacks run on the shard thread, so
-  /// an observer shared across shards must be thread-safe).
+  /// Per-entity user observer (nullable; callbacks run on the shard
+  /// thread).
   proto::CoObserver* observer = nullptr;
   /// Shared binary event tracer (nullable; per-thread streams make sharing
   /// across shards free).
@@ -160,7 +162,7 @@ class Shard;
 
 /// One local entity, owned by its shard: core + driver + socket + queues.
 /// Everything except submit() runs on the shard thread.
-class EntityRuntime final : private driver::RealtimeEnv {
+class EntityRuntime final : private driver::Env {
  public:
   EntityRuntime(EntityRuntimeConfig config, Shard& shard);
 
@@ -195,9 +197,14 @@ class EntityRuntime final : private driver::RealtimeEnv {
  private:
   friend class Shard;
 
-  // driver::RealtimeEnv — effects fan out through the owning shard.
-  void broadcast(const proto::Message& msg) override;
+  // driver::Env — effects fan out through the owning shard; timers arm
+  // the entity's wheel, which the shard's loop pops into Driver::fire.
+  void broadcast(proto::Message&& msg) override;
   void deliver(const proto::CoPdu& pdu) override;
+  void arm(proto::TimerId timer, time::Deadline deadline) override {
+    wheel_.arm(timer, deadline);
+  }
+  void cancel(proto::TimerId timer) override { wheel_.cancel(timer); }
 
   struct Submission {
     std::vector<std::uint8_t> data;
@@ -215,7 +222,8 @@ class EntityRuntime final : private driver::RealtimeEnv {
   std::unique_ptr<obs::trace::TracingObserver> trace_bridge_;
   std::unique_ptr<proto::MulticastObserver> observer_fanout_;
   std::unique_ptr<proto::CoCore> core_;
-  std::unique_ptr<driver::RealtimeDriver> driver_;
+  driver::TimerWheel wheel_;
+  std::unique_ptr<driver::Driver> driver_;
   SpscRing<Submission> submissions_;
   // Cleared by the shard's shutdown drain: producers that observe it false
   // get kStopped instead of pushing into a ring nobody will ever pop.

@@ -58,6 +58,75 @@ TEST(ClusterMisc, AggregateStatsAddUp) {
   EXPECT_GT(agg.tco_us_per_message(), 0.0);
 }
 
+TEST(ClusterMisc, AggregateStatsSumEveryCounter) {
+  // Drive every counter family at least somewhere: loss makes RETs,
+  // retransmissions and tail-loss probes; direct injection at E0 adds an
+  // alien-CID PDU and a malformed RET (wrong ACK width).
+  ClusterOptions o = opts(4);
+  o.net.injected_loss = 0.3;
+  o.net.seed = 7;
+  CoCluster c(o);
+  CoPdu alien;
+  alien.cid = 999;  // the cluster uses cid 1
+  alien.src = 1;
+  alien.seq = 1;
+  alien.ack = {1, 1, 1, 1};
+  alien.data = {1};
+  c.entity_driver(0).on_message(1, Message(alien), c.scheduler().now());
+  RetPdu malformed;
+  malformed.cid = c.entity(0).config().cid;
+  malformed.src = 1;
+  malformed.lsrc = 0;
+  malformed.lseq = 1;
+  malformed.ack = {1, 1};
+  c.entity_driver(0).on_message(1, Message(malformed), c.scheduler().now());
+  for (int i = 0; i < 40; ++i) c.submit_text(static_cast<EntityId>(i % 4), "x");
+  ASSERT_TRUE(c.run_until_delivered(60'000 * sim::kMillisecond));
+
+  using Counter = std::uint64_t CoEntityStats::*;
+  const std::pair<const char*, Counter> counters[] = {
+      {"data_pdus_sent", &CoEntityStats::data_pdus_sent},
+      {"ctrl_pdus_sent", &CoEntityStats::ctrl_pdus_sent},
+      {"ret_pdus_sent", &CoEntityStats::ret_pdus_sent},
+      {"retransmissions_sent", &CoEntityStats::retransmissions_sent},
+      {"pdus_accepted", &CoEntityStats::pdus_accepted},
+      {"duplicates_dropped", &CoEntityStats::duplicates_dropped},
+      {"foreign_cluster_dropped", &CoEntityStats::foreign_cluster_dropped},
+      {"malformed_dropped", &CoEntityStats::malformed_dropped},
+      {"parked_out_of_order", &CoEntityStats::parked_out_of_order},
+      {"pre_acknowledged", &CoEntityStats::pre_acknowledged},
+      {"acknowledged", &CoEntityStats::acknowledged},
+      {"delivered_to_app", &CoEntityStats::delivered_to_app},
+      {"f1_detections", &CoEntityStats::f1_detections},
+      {"f2_detections", &CoEntityStats::f2_detections},
+      {"ret_retries", &CoEntityStats::ret_retries},
+      {"heartbeats_sent", &CoEntityStats::heartbeats_sent},
+      {"flow_blocked", &CoEntityStats::flow_blocked},
+      {"processing_ns", &CoEntityStats::processing_ns},
+      {"messages_processed", &CoEntityStats::messages_processed},
+  };
+  const CoEntityStats agg = c.aggregate_stats();
+  for (const auto& [name, field] : counters) {
+    std::uint64_t sum = 0;
+    for (EntityId e = 0; e < 4; ++e) sum += c.entity(e).stats().snapshot().*field;
+    EXPECT_EQ(agg.*field, sum) << name;
+  }
+  EXPECT_EQ(agg.foreign_cluster_dropped, 1u);
+  EXPECT_EQ(agg.malformed_dropped, 1u);
+  EXPECT_GT(agg.heartbeats_sent, 0u);
+
+  std::size_t max_sl = 0, pack_samples = 0, ack_samples = 0;
+  for (EntityId e = 0; e < 4; ++e) {
+    const auto s = c.entity(e).stats().snapshot();
+    max_sl = std::max(max_sl, s.max_sl);
+    pack_samples += s.accept_to_pack_ms.count();
+    ack_samples += s.accept_to_ack_ms.count();
+  }
+  EXPECT_EQ(agg.max_sl, max_sl);
+  EXPECT_EQ(agg.accept_to_pack_ms.count(), pack_samples);
+  EXPECT_EQ(agg.accept_to_ack_ms.count(), ack_samples);
+}
+
 TEST(ClusterMisc, NetworkStatsStreamOutput) {
   net::NetworkStats s;
   s.broadcasts = 1;

@@ -1,7 +1,9 @@
 // Driver equivalence: the SAME input timeline produces the byte-identical
-// effect stream whether the core is animated by the SimDriver (timers on
-// the discrete-event scheduler) or driven directly through step() with a
-// TimerWheel — the two halves of the sans-io split.
+// effect stream whether the one driver::Driver runs over a scheduler-backed
+// Env (timers as discrete-event scheduler events, as in the simulated
+// CoCluster) or over a TimerWheel-backed Env (timers popped from a wheel by
+// the caller's loop, as in the UDP host) — the two runtimes differ only in
+// where an armed timer lives.
 //
 // Timelines are generated from seeds: pseudorandom arrivals (with injected
 // gaps, so RET/retransmit-timer machinery engages), submits, and the timer
@@ -15,7 +17,7 @@
 
 #include "src/common/rng.h"
 #include "src/co/core.h"
-#include "src/driver/sim_driver.h"
+#include "src/driver/driver.h"
 #include "src/driver/timer_wheel.h"
 #include "src/fuzz/effect_log.h"
 #include "src/sim/scheduler.h"
@@ -84,66 +86,83 @@ std::vector<Op> make_timeline(std::uint64_t seed) {
   return ops;
 }
 
-/// SimDriver side: ops become scheduler events; timers live on the
-/// scheduler; the tap sees every step's batch.
-void run_sim_side(const std::vector<Op>& ops, time::Tick horizon,
-                  fuzz::EffectRecorder& tap) {
+/// The medium is out of scope on both sides: broadcasts and deliveries are
+/// dropped, only the timer store differs.
+class NullMediumEnv : public driver::Env {
+ public:
+  void broadcast(Message&&) override {}
+  void deliver(const CoPdu&) override {}
+  BufUnits free_buffer() override { return kBuf; }
+};
+
+/// Scheduler side: ops become scheduler events; each timer is one
+/// TimerHandle slot whose event calls Driver::fire.
+class SchedulerEnv final : public NullMediumEnv {
+ public:
+  explicit SchedulerEnv(sim::Scheduler& sched) : sched_(sched) {}
+  void arm(TimerId timer, time::Deadline deadline) override {
+    timers_[static_cast<std::size_t>(timer)] =
+        sched_.schedule_at(deadline, [this, timer] {
+          driver->fire(timer, sched_.now());
+        });
+  }
+  void cancel(TimerId timer) override {
+    timers_[static_cast<std::size_t>(timer)].cancel();
+  }
+  driver::Driver* driver = nullptr;  // set once the driver exists
+
+ private:
+  sim::Scheduler& sched_;
+  sim::TimerHandle timers_[kTimerCount];
+};
+
+/// Wheel side: timers live in a TimerWheel the op loop pops.
+class WheelEnv final : public NullMediumEnv {
+ public:
+  void arm(TimerId timer, time::Deadline deadline) override {
+    wheel.arm(timer, deadline);
+  }
+  void cancel(TimerId timer) override { wheel.cancel(timer); }
+  driver::TimerWheel wheel;
+};
+
+void run_scheduler_side(const std::vector<Op>& ops, time::Tick horizon,
+                        fuzz::EffectRecorder& tap) {
   sim::Scheduler sched;
   CoCore core(0, config3());
-  driver::SimDriver::Hooks hooks;
-  hooks.broadcast = [](Message) {};          // medium is out of scope here
-  hooks.deliver = [](const CoPdu&) {};
-  hooks.free_buffer = [] { return kBuf; };
-  driver::SimDriver driver(core, sched, hooks, &tap);
+  SchedulerEnv env(sched);
+  driver::Driver driver(core, env, &tap);
+  env.driver = &driver;
   for (const Op& op : ops) {
-    sched.schedule_at(op.at, [&driver, &op] {
+    sched.schedule_at(op.at, [&driver, &sched, &op] {
       if (op.is_submit)
-        driver.submit(op.data, kEveryone);
+        driver.submit(op.data, kEveryone, sched.now());
       else
-        driver.on_message(op.from, Message(op.pdu));
+        driver.on_message(op.from, Message(op.pdu), sched.now());
     });
   }
   sched.run_until(horizon);
 }
 
-/// Direct side: step() + TimerWheel, replaying arm/cancel ourselves and
-/// feeding the tap exactly the way SimDriver does (before replay, skipping
-/// empty batches).
-void run_direct_side(const std::vector<Op>& ops, time::Tick horizon,
-                     fuzz::EffectRecorder& tap) {
+void run_wheel_side(const std::vector<Op>& ops, time::Tick horizon,
+                    fuzz::EffectRecorder& tap) {
   CoCore core(0, config3());
-  driver::TimerWheel wheel;
-  EffectBatch batch;
-
-  auto dispatch = [&](Input input, time::Tick now) {
-    batch.clear();
-    core.step(std::move(input), batch);
-    if (batch.empty()) return;
-    tap.on_effects(core.self(), now, batch);
-    for (const Effect& effect : batch) {
-      if (const auto* arm = std::get_if<ArmTimerEffect>(&effect))
-        wheel.arm(arm->timer, arm->deadline);
-      else if (const auto* cancel = std::get_if<CancelTimerEffect>(&effect))
-        wheel.cancel(cancel->timer);
-      // Broadcast/Deliver: medium out of scope, same as the sim side.
-    }
-  };
+  WheelEnv env;
+  driver::Driver driver(core, env, &tap);
   auto fire_due_before = [&](time::Tick limit) {
-    while (const auto next = wheel.next_deadline()) {
+    while (const auto next = env.wheel.next_deadline()) {
       if (*next > limit) break;
       const time::Tick now = *next;
-      const auto due = wheel.pop_due(now);
-      dispatch(Input{now, kBuf, TimerFired{*due}}, now);
+      while (const auto due = env.wheel.pop_due(now)) driver.fire(*due, now);
     }
   };
 
   for (const Op& op : ops) {
     fire_due_before(op.at);  // no event-time collisions by construction
     if (op.is_submit)
-      dispatch(Input{op.at, kBuf, AppSubmit{op.data, kEveryone}}, op.at);
+      driver.submit(op.data, kEveryone, op.at);
     else
-      dispatch(Input{op.at, kBuf, MessageArrived{op.from, Message(op.pdu)}},
-               op.at);
+      driver.on_message(op.from, Message(op.pdu), op.at);
   }
   fire_due_before(horizon);
 }
@@ -153,14 +172,14 @@ TEST(DriverEquivalence, SameSeedsSameEffectDigests) {
     const std::vector<Op> ops = make_timeline(seed);
     const time::Tick horizon = ops.back().at + 50 * time::kMillisecond;
 
-    fuzz::EffectRecorder sim_tap(/*sample_limit=*/0);
-    run_sim_side(ops, horizon, sim_tap);
-    fuzz::EffectRecorder direct_tap(/*sample_limit=*/0);
-    run_direct_side(ops, horizon, direct_tap);
+    fuzz::EffectRecorder sched_tap(/*sample_limit=*/0);
+    run_scheduler_side(ops, horizon, sched_tap);
+    fuzz::EffectRecorder wheel_tap(/*sample_limit=*/0);
+    run_wheel_side(ops, horizon, wheel_tap);
 
-    EXPECT_GT(sim_tap.effects(), 0u) << "seed=" << seed;
-    EXPECT_EQ(sim_tap.effects(), direct_tap.effects()) << "seed=" << seed;
-    EXPECT_EQ(sim_tap.digest(), direct_tap.digest()) << "seed=" << seed;
+    EXPECT_GT(sched_tap.effects(), 0u) << "seed=" << seed;
+    EXPECT_EQ(sched_tap.effects(), wheel_tap.effects()) << "seed=" << seed;
+    EXPECT_EQ(sched_tap.digest(), wheel_tap.digest()) << "seed=" << seed;
   }
 }
 
@@ -173,7 +192,7 @@ TEST(DriverEquivalence, TimelinesExerciseTimersAndRets) {
     const std::vector<Op> ops = make_timeline(seed);
     const time::Tick horizon = ops.back().at + 50 * time::kMillisecond;
     fuzz::EffectRecorder tap(/*sample_limit=*/4096);
-    run_sim_side(ops, horizon, tap);
+    run_scheduler_side(ops, horizon, tap);
     for (const std::string& line : tap.sample()) {
       if (line.find("RET") != std::string::npos) ++rets;
       if (line.find("arm") != std::string::npos) ++arms;

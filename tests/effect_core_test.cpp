@@ -214,8 +214,8 @@ TEST(EffectCore, BatchRunsReceiptPipelineOnce) {
 
 TEST(EffectCore, BatchOfOneMatchesSequentialExactly) {
   // With one input per step the batch path IS the per-message path: every
-  // effect, in order, must match. This is the bit-identity the SimDriver
-  // (and the digest-stability acceptance gate) rides on.
+  // effect, in order, must match. This is the bit-identity the simulated
+  // cluster's driver (and the digest-stability acceptance gate) rides on.
   CoConfig cfg = config3();
   CoCore a(0, cfg);
   CoCore b(0, cfg);

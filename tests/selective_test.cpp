@@ -135,7 +135,7 @@ TEST(Selective, ForeignClusterPdusAreIgnored) {
   alien.seq = 1;
   alien.ack = {1, 1, 1};
   alien.data = {1};
-  c.entity_driver(0).on_message(1, Message(alien));
+  c.entity_driver(0).on_message(1, Message(alien), c.scheduler().now());
   EXPECT_EQ(c.entity(0).stats().foreign_cluster_dropped, 1u);
   EXPECT_EQ(c.entity(0).req(1), kFirstSeq);  // not accepted
 
@@ -143,7 +143,7 @@ TEST(Selective, ForeignClusterPdusAreIgnored) {
   // must run before any shape validation.
   CoPdu alien2 = alien;
   alien2.ack = {1, 1, 1, 1, 1, 1};  // from a 6-entity cluster
-  c.entity_driver(0).on_message(1, Message(alien2));
+  c.entity_driver(0).on_message(1, Message(alien2), c.scheduler().now());
   EXPECT_EQ(c.entity(0).stats().foreign_cluster_dropped, 2u);
   RetPdu alien_ret;
   alien_ret.cid = 999;
@@ -151,7 +151,7 @@ TEST(Selective, ForeignClusterPdusAreIgnored) {
   alien_ret.lsrc = 0;
   alien_ret.lseq = 5;
   alien_ret.ack = {1, 1};
-  c.entity_driver(0).on_message(1, Message(alien_ret));
+  c.entity_driver(0).on_message(1, Message(alien_ret), c.scheduler().now());
   EXPECT_EQ(c.entity(0).stats().foreign_cluster_dropped, 3u);
   EXPECT_EQ(c.entity(0).stats().retransmissions_sent, 0u);
 }

@@ -1,8 +1,8 @@
 // StepHarness — drives one sans-io CoCore for unit tests.
 //
 // The harness plays the role of a driver: it stamps every input with a
-// manually advanced clock, runs the core through a RealtimeDriver (so the
-// TimerWheel replay path gets unit coverage for free), and records every
+// manually advanced clock, runs the core through a driver::Driver over a
+// TimerWheel-backed Env (the host runtime's timer path), and records every
 // Broadcast/Deliver effect plus the observer milestones the old
 // CoEnvironment mock used to capture.
 #pragma once
@@ -13,11 +13,12 @@
 #include "src/causality/pdu_key.h"
 #include "src/co/core.h"
 #include "src/co/time.h"
-#include "src/driver/realtime_driver.h"
+#include "src/driver/driver.h"
+#include "src/driver/timer_wheel.h"
 
 namespace co::proto {
 
-class StepHarness final : public driver::RealtimeEnv {
+class StepHarness final : public driver::Env {
  public:
   StepHarness(EntityId self, const CoConfig& config, BufUnits free_buf = 4096)
       : free_buf_(free_buf),
@@ -41,10 +42,10 @@ class StepHarness final : public driver::RealtimeEnv {
   /// Advance the clock to `deadline_time`, firing every timer at its exact
   /// deadline (mirroring the scheduler's run_until semantics).
   void run_until(time::Tick t) {
-    while (const auto next = driver_.next_deadline()) {
+    while (const auto next = wheel_.next_deadline()) {
       if (*next > t) break;
       if (*next > now_) now_ = *next;
-      driver_.run_timers(now_);
+      while (const auto due = wheel_.pop_due(now_)) driver_.fire(*due, now_);
     }
     if (t > now_) now_ = t;
   }
@@ -80,9 +81,15 @@ class StepHarness final : public driver::RealtimeEnv {
   }
 
  private:
-  // driver::RealtimeEnv
-  void broadcast(const Message& msg) override { broadcasts.push_back(msg); }
+  // driver::Env
+  void broadcast(Message&& msg) override {
+    broadcasts.push_back(std::move(msg));
+  }
   void deliver(const CoPdu& pdu) override { delivered.push_back(pdu); }
+  void arm(TimerId timer, time::Deadline deadline) override {
+    wheel_.arm(timer, deadline);
+  }
+  void cancel(TimerId timer) override { wheel_.cancel(timer); }
   BufUnits free_buffer() override { return free_buf_; }
 
   struct Recorder final : CoObserver {
@@ -99,7 +106,8 @@ class StepHarness final : public driver::RealtimeEnv {
   BufUnits free_buf_;
   Recorder recorder_;
   CoCore core_;
-  driver::RealtimeDriver driver_;
+  driver::TimerWheel wheel_;
+  driver::Driver driver_;
 };
 
 }  // namespace co::proto

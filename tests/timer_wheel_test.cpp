@@ -1,5 +1,5 @@
-// Unit tests for the realtime TimerWheel: arm/cancel/pop semantics the
-// RealtimeDriver's effect replay relies on.
+// Unit tests for the realtime TimerWheel: the arm/cancel/pop semantics the
+// host runtime's driver::Env relies on.
 #include <gtest/gtest.h>
 
 #include "src/driver/timer_wheel.h"
