@@ -13,6 +13,11 @@ Both files come from `bench_micro --json`. Fails (exit 1) when
     noise headroom). This check reads CURRENT only: the curve compares
     batch sizes against each other on the same machine, so it needs no
     baseline and older baselines without the sweep still gate cleanly, or
+  * the whole-step cost at batch size 1 (batch_step_us_per_message["1"],
+    one receiver's full step() at n=32, PRL and PACK sweep included)
+    regressed by more than --max-regress percent against the baseline —
+    it is the figure that shows the PRL bookkeeping going back to
+    O(PRL depth) per PDU. Skipped when the baseline lacks the key, or
   * the tracing-disabled tco (trace_overhead.disabled_us_per_message —
     emit call sites compiled in, no Tracer attached) exceeds the
     baseline's by more than --trace-slack percent (default 1): attaching
@@ -176,6 +181,20 @@ def main() -> int:
                         f"batch size {b} costs {v:.4f} us/message, slower "
                         f"than the single-message path ({single:.4f} "
                         f"+{args.batch_slack:.0f}% = {cap:.4f})")
+            base_single = base.get("batch_step_us_per_message", {}).get("1")
+            if base_single is not None:
+                base_single = float(base_single)
+                limit = base_single * (1.0 + args.max_regress / 100.0)
+                delta_pct = ((single / base_single - 1.0) * 100.0
+                             if base_single else 0.0)
+                print(f"batch_step_us_per_message[1]: baseline="
+                      f"{base_single:.4f} current={single:.4f} "
+                      f"({delta_pct:+.1f}%, limit +{args.max_regress:.0f}%)")
+                if single > limit:
+                    failures.append(
+                        f"batch_step_us_per_message[1] regressed "
+                        f"{delta_pct:+.1f}% (> +{args.max_regress:.0f}% "
+                        "allowed)")
 
     kernels = cur.get("kernels_ns")
     if kernels is not None:

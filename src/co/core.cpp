@@ -30,6 +30,7 @@ CoCore::CoCore(EntityId self, CoConfig config, CoObserver* observer)
   parked_.resize(n);
   known_max_.assign(n, 0);
   packed_high_.assign(n, 0);
+  gate_block_.assign(n, GateBlock{});
   outstanding_ret_.assign(n, std::nullopt);
   heard_since_send_.assign(n, 0);
   loss_mask_.assign(kern::mask_words(n), 0);
@@ -642,20 +643,27 @@ void CoCore::update_pal_row(EntityId j, const std::vector<SeqNo>& ack) {
 // PACK / ACK procedures (§4.4, §4.5)
 // ---------------------------------------------------------------------------
 
-bool CoCore::causally_gated(const CoPdu& p) const {
-  if (!config_.causal_pack_gate) return true;  // ablation: bare paper rules
-  if (config_.mutation == Mutation::kNoCausalGate) return true;
+bool CoCore::causal_gate_on() const {
+  // Off under the ablation (bare paper rules) and the fuzzer's
+  // no_causal_gate self-validation mutation.
+  return config_.causal_pack_gate &&
+         config_.mutation != Mutation::kNoCausalGate;
+}
+
+std::size_t CoCore::causal_blocker(const CoPdu& p) const {
+  if (!causal_gate_on()) return config_.n;
   // Causal pre-ack gate (see DESIGN.md): p may move to the PRL only once
   // every PDU it detectably depends on (Theorem 4.1: all q with
   // q.SEQ < p.ACK[q.src]) has itself been pre-acknowledged here. The paper's
   // Prop. 4.3 asserts pre-acknowledgments follow the causality-precedence
   // order, but its proof does not cover dependencies that reach this entity
   // only through third parties; the gate enforces the property outright,
-  // which in turn makes the CPI insertion always well-defined (the PRL is a
+  // which in turn makes the CPI insertion always an append (the PRL is a
   // linear extension of the detected relation at all times).
   const std::size_t n = std::min(p.ack.size(), config_.n);
-  return kern_->causal_gate(p.ack.data(), packed_high_.data(), n,
-                            static_cast<std::size_t>(p.src));
+  const std::size_t k = kern_->causal_gate(p.ack.data(), packed_high_.data(),
+                                           n, static_cast<std::size_t>(p.src));
+  return k < n ? k : config_.n;
 }
 
 void CoCore::run_pack_action() {
@@ -699,12 +707,24 @@ void CoCore::run_pack_action() {
 }
 
 bool CoCore::pack_from(std::size_t j) {
+  // A head the gate stopped on last time fails it again while that same
+  // blocking lane still fails — the gate's own test on the current
+  // packed_high_ — so skip the re-check (no state changes either way).
+  const GateBlock& block = gate_block_[j];
+  if (block.head == rrl_head_seq_[j] &&
+      block.need > packed_high_[block.lane] + 1)
+    return false;
   auto& rrl = rrl_[j];
   bool progress = false;
   while (!rrl.empty() &&
          (rrl.front().pdu->seq < min_al_[j] ||
-          config_.mutation == Mutation::kIgnorePackCondition) &&
-         causally_gated(*rrl.front().pdu)) {
+          config_.mutation == Mutation::kIgnorePackCondition)) {
+    const CoPdu& head = *rrl.front().pdu;
+    const std::size_t blocker = causal_blocker(head);
+    if (blocker < config_.n) {
+      gate_block_[j] = GateBlock{head.seq, blocker, head.ack[blocker]};
+      break;
+    }
     Prl::Entry entry = std::move(rrl.front());
     rrl.pop_front();
     const CoPdu& p = *entry.pdu;
@@ -713,7 +733,12 @@ bool CoCore::pack_from(std::size_t j) {
     note_pack_time(entry);
     observer_->on_stage(obs::PduStage::kPack, p.key());
     ++stats_.pre_acknowledged;
-    prl_.cpi_insert(std::move(entry.pdu), entry.accepted_at);
+    // Under the gate nothing already logged is preceded by p, so CPI is an
+    // append (see prl.h); only the ungated variants need the scan.
+    if (causal_gate_on())
+      prl_.append(std::move(entry.pdu), entry.accepted_at);
+    else
+      prl_.cpi_insert(std::move(entry.pdu), entry.accepted_at);
     stats_.max_prl = std::max(stats_.max_prl, prl_.size());
     progress = true;
   }
@@ -891,6 +916,7 @@ std::ostream& operator<<(std::ostream& os, const CoEntityStats& s) {
             << " accepted=" << s.pdus_accepted
             << " dup_dropped=" << s.duplicates_dropped
             << " malformed_dropped=" << s.malformed_dropped
+            << " foreign_cluster_dropped=" << s.foreign_cluster_dropped
             << " parked=" << s.parked_out_of_order
             << " packed=" << s.pre_acknowledged << " acked=" << s.acknowledged
             << " delivered=" << s.delivered_to_app << " f1=" << s.f1_detections

@@ -290,12 +290,16 @@ class CoCore {
   }
 
   // --- PACK / ACK procedures (§4.4, §4.5) -------------------------------------
-  /// Causal pre-ack gate: true when every detected predecessor of `p` has
-  /// already been pre-acknowledged locally (see DESIGN.md).
-  bool causally_gated(const CoPdu& p) const;
+  /// Whether the causal pre-ack gate is in force (see DESIGN.md).
+  bool causal_gate_on() const;
+  /// Causal pre-ack gate: config_.n when every detected predecessor of `p`
+  /// has already been pre-acknowledged locally, else the first source lane
+  /// whose predecessor is still missing.
+  std::size_t causal_blocker(const CoPdu& p) const;
   void run_pack_action();
   /// Pack RRL_j heads into the PRL while the PACK condition and the causal
-  /// gate admit them; refreshes rrl_head_seq_[j]. Returns true on progress.
+  /// gate admit them; refreshes rrl_head_seq_[j] and, when the gate stops
+  /// it, gate_block_[j]. Returns true on progress.
   bool pack_from(std::size_t j);
   void run_ack_action();
   void prune_sent_log();
@@ -372,6 +376,17 @@ class CoCore {
   // Highest SEQ per source moved into the PRL (pre-acknowledged); drives
   // the causal pre-ack gate.
   std::vector<SeqNo> packed_high_;
+
+  // Per source, the RRL head the causal gate last stopped on: its SEQ, the
+  // first failing lane and that lane's ACK. While the head is unchanged and
+  // need > packed_high_[lane] + 1 still holds, the gate would fail again,
+  // so the PACK sweep skips the source without re-running the gate.
+  struct GateBlock {
+    SeqNo head = kNoSeq;
+    std::size_t lane = 0;
+    SeqNo need = 0;
+  };
+  std::vector<GateBlock> gate_block_;
 
   // Outstanding retransmission requests: lsrc -> (lseq requested, when,
   // exponential backoff multiplier for retries under sustained loss).

@@ -48,13 +48,13 @@ void s_lt_mask(const SeqNo* a, const SeqNo* b, std::size_t n,
   detail::lt_mask_tail(a, b, 0, n, mask);
 }
 
-bool s_causal_gate(const SeqNo* ack, const SeqNo* high, std::size_t n,
-                   std::size_t skip) {
+std::size_t s_causal_gate(const SeqNo* ack, const SeqNo* high, std::size_t n,
+                          std::size_t skip) {
   for (std::size_t j = 0; j < n; ++j) {
     if (j == skip) continue;
-    if (ack[j] > high[j] + 1) return false;  // mod-2^64 add, like the caller
+    if (ack[j] > high[j] + 1) return j;  // mod-2^64 add, like the caller
   }
-  return true;
+  return n;
 }
 
 bool s_all_set(const std::uint8_t* flags, std::size_t n, std::size_t skip) {

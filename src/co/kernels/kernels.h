@@ -68,11 +68,12 @@ struct KernelOps {
   void (*lt_mask)(const SeqNo* a, const SeqNo* b, std::size_t n,
                   std::uint64_t* mask);
 
-  /// Causal pre-ack gate: true iff ack[j] <= high[j] + 1 (mod-2^64 add,
-  /// unsigned compare) for every j in [0, n) except j == skip. Pass
-  /// skip >= n to exempt no lane.
-  bool (*causal_gate)(const SeqNo* ack, const SeqNo* high, std::size_t n,
-                      std::size_t skip);
+  /// Causal pre-ack gate: the first lane j in [0, n), j != skip, with
+  /// ack[j] > high[j] + 1 (mod-2^64 add, unsigned compare), or n when there
+  /// is none (the gate passes). Pass skip >= n to exempt no lane. The
+  /// failing lane lets the caller re-test just that blocker later.
+  std::size_t (*causal_gate)(const SeqNo* ack, const SeqNo* high,
+                             std::size_t n, std::size_t skip);
 
   /// True iff flags[j] != 0 for every j in [0, n) except j == skip. The
   /// deferred-confirmation sweep uses this over the heard-since-send bytes.

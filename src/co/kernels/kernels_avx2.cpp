@@ -21,6 +21,7 @@ const KernelOps& avx2_ops() { return scalar_ops(); }
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "src/co/kernels/kernels_impl.h"
 
@@ -131,8 +132,8 @@ void v_lt_mask(const SeqNo* a, const SeqNo* b, std::size_t n,
   }
 }
 
-bool v_causal_gate(const SeqNo* ack, const SeqNo* high, std::size_t n,
-                   std::size_t skip) {
+std::size_t v_causal_gate(const SeqNo* ack, const SeqNo* high, std::size_t n,
+                          std::size_t skip) {
   const __m256i one = _mm256_set1_epi64x(1);
   for (std::size_t w = 0; w < mask_words(n); ++w) {
     std::uint64_t bits = 0;
@@ -152,9 +153,10 @@ bool v_causal_gate(const SeqNo* ack, const SeqNo* high, std::size_t n,
     }
     if (skip >= base && skip < base + limit)
       bits &= ~(std::uint64_t{1} << (skip - base));
-    if (bits != 0) return false;
+    if (bits != 0)
+      return base + static_cast<std::size_t>(std::countr_zero(bits));
   }
-  return true;
+  return n;
 }
 
 bool v_all_set(const std::uint8_t* flags, std::size_t n, std::size_t skip) {

@@ -3,7 +3,11 @@
 // driven sans-io through CoCore::step() via the StepHarness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/co/core.h"
+#include "src/driver/cluster.h"
+#include "src/fuzz/scenario.h"
 #include "tests/step_harness.h"
 
 namespace co::proto {
@@ -75,6 +79,51 @@ TEST(CausalGate, DisabledReproducesBarePaperBehaviour) {
   EXPECT_GE(h.core().prl_size(), 1u);
   EXPECT_EQ(h.core().prl().at(0).key(), (PduKey{2, 1}));
 }
+
+// Property: with the gate on, every entity's PRL is a linear extension of
+// the detected causality relation after every simulator event, across the
+// fuzzer's adversarial scenarios (loss bursts, buffer squeezes, n <= 8).
+// This is the invariant that lets the PACK action append instead of running
+// the CPI scan; Prl::append checks it only in debug builds, so this pins it
+// in release builds too. The log changes only by appends (re-checked here)
+// and head dequeues (a suffix of a preserved log is preserved), so the O(m^2)
+// check runs after each event that packed something on that entity.
+class GatedPrlProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GatedPrlProperty, PrlStaysCausalityPreservedAfterEveryEvent) {
+  const fuzz::Scenario sc = fuzz::Scenario::generate(GetParam());
+  ASSERT_LE(sc.n, 8u);
+  ClusterOptions o;
+  o.proto = sc.proto_config();
+  ASSERT_TRUE(o.proto.causal_pack_gate);
+  o.net = sc.net_config();
+  CoCluster cluster(o);
+  cluster.network().set_fault_schedule(sc.faults);
+  auto& sched = cluster.scheduler();
+  sim::SimTime last_submit = 0;
+  for (const fuzz::SubmitOp& op : sc.submits) {
+    last_submit = std::max(last_submit, op.at);
+    sched.schedule_at(op.at, [&cluster, op] {
+      cluster.submit(op.entity, std::vector<std::uint8_t>(op.payload_bytes));
+    });
+  }
+  std::vector<std::uint64_t> packed(sc.n, 0);
+  while (sched.now() <= sc.horizon && sched.step()) {
+    for (std::size_t e = 0; e < sc.n; ++e) {
+      const CoCore& core = cluster.entity(static_cast<EntityId>(e));
+      if (core.stats().pre_acknowledged == packed[e]) continue;
+      packed[e] = core.stats().pre_acknowledged;
+      ASSERT_TRUE(core.prl().causality_preserved())
+          << "E" << e << " at t=" << sched.now() << " in " << sc.summary();
+    }
+    if (sched.now() >= last_submit && cluster.all_delivered()) break;
+  }
+  EXPECT_TRUE(cluster.all_delivered()) << sc.summary();
+  EXPECT_GT(cluster.aggregate_stats().pre_acknowledged, 0u) << sc.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(FuzzSeeds, GatedPrlProperty,
+                         ::testing::Range<std::uint64_t>(0, 200));
 
 TEST(CtrlRateLimit, BacklogThrottlesAckOnlyTraffic) {
   // The guard binds once the entity's own UNCONFIRMED backlog reaches

@@ -196,8 +196,9 @@ TEST(Kernels, LossScanMatchesScalar) {
           EXPECT_EQ(km_s, km_v) << ctx(ops, n, d, rep);
           EXPECT_EQ(mask_s, mask_v) << ctx(ops, n, d, rep);
           // Contract: unused high bits of the last word are zero.
-          if (n % 64 != 0 && !mask_s.empty())
+          if (n % 64 != 0 && !mask_s.empty()) {
             EXPECT_EQ(mask_s.back() >> (n % 64), 0u) << ctx(ops, n, d, rep);
+          }
         }
       }
     }
@@ -218,8 +219,9 @@ TEST(Kernels, LtMaskMatchesScalar) {
           scalar().lt_mask(a.data(), b.data(), n, mask_s.data());
           ops->lt_mask(a_m.data(), b_m.data(), n, mask_v.data());
           EXPECT_EQ(mask_s, mask_v) << ctx(ops, n, d, rep);
-          if (n % 64 != 0 && !mask_s.empty())
+          if (n % 64 != 0 && !mask_s.empty()) {
             EXPECT_EQ(mask_s.back() >> (n % 64), 0u) << ctx(ops, n, d, rep);
+          }
         }
       }
     }
@@ -245,12 +247,24 @@ TEST(Kernels, CausalGateMatchesScalar) {
           const std::size_t skips[] = {0, n / 2, n == 0 ? 0 : n - 1, n,
                                        n + 57};
           for (std::size_t skip : skips) {
-            const bool ok_s =
+            const std::size_t lane_s =
                 scalar().causal_gate(ack.data(), high.data(), n, skip);
-            const bool ok_v =
+            const std::size_t lane_v =
                 ops->causal_gate(ack_m.data(), high_m.data(), n, skip);
-            EXPECT_EQ(ok_s, ok_v)
+            EXPECT_EQ(lane_s, lane_v)
                 << ctx(ops, n, d, rep) << " skip=" << skip;
+            // Contract: n on a pass, else a failing, non-exempt lane with
+            // every earlier non-exempt lane passing.
+            ASSERT_LE(lane_s, n) << ctx(ops, n, d, rep);
+            for (std::size_t k = 0; k < lane_s; ++k) {
+              if (k != skip) {
+                EXPECT_LE(ack[k], high[k] + 1) << ctx(ops, n, d, rep);
+              }
+            }
+            if (lane_s < n) {
+              EXPECT_NE(lane_s, skip) << ctx(ops, n, d, rep);
+              EXPECT_GT(ack[lane_s], high[lane_s] + 1) << ctx(ops, n, d, rep);
+            }
           }
         }
       }
