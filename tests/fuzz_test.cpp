@@ -211,6 +211,36 @@ TEST(FuzzCounterexample, V1ArtifactReplaysWithItsEffectDigestCompared) {
   EXPECT_FALSE(replay(upgraded).exact);
 }
 
+TEST(FuzzCounterexample, V2ArtifactReplaysWithBothDigestsCompared) {
+  // A genuine co_fuzz/counterexample/v2 artifact (deliver_on_accept, seed
+  // 2, shrunk; its 67 records include dup, f2, ret and rtx). Its `digest`
+  // folds every binary trace record, so a replay that reorders or
+  // re-stamps one record is caught even when the effect stream matches.
+  const Counterexample v2 =
+      Counterexample::load(CO_TEST_DATA_DIR "/counterexample_v2.json");
+  EXPECT_EQ(v2.trace_events, 67u);
+  ASSERT_GT(v2.effects_emitted, 0u);
+  const ReplayVerdict v = replay(v2);
+  EXPECT_TRUE(v.reproduced);
+  EXPECT_EQ(v.report.digest, v2.digest);
+  EXPECT_EQ(v.report.trace_events, v2.trace_events);
+  EXPECT_EQ(v.report.effect_digest, v2.effect_digest);
+  EXPECT_EQ(v.report.effects_emitted, v2.effects_emitted);
+  EXPECT_TRUE(v.exact);
+
+  // Each digest is compared on its own: drifting either one is caught.
+  Counterexample drifted = v2;
+  drifted.digest ^= 1;
+  EXPECT_FALSE(replay(drifted).exact);
+  drifted = v2;
+  drifted.effect_digest ^= 1;
+  EXPECT_FALSE(replay(drifted).exact);
+
+  // Saving it again is byte-stable.
+  EXPECT_EQ(Counterexample::from_json(v2.to_json()).to_json().dump(),
+            v2.to_json().dump());
+}
+
 TEST(FuzzCounterexample, RejectsUnknownFormat) {
   EXPECT_THROW(Counterexample::from_json(Json::parse("{\"format\":\"bogus\"}")),
                std::runtime_error);
