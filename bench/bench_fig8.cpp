@@ -18,11 +18,11 @@
 #include <memory>
 #include <string>
 
+#include "src/common/json.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
-#include "src/fuzz/json.h"
-#include "src/fuzz/obs_json.h"
 #include "src/harness/experiment.h"
+#include "src/obs/export.h"
 #include "src/obs/observe.h"
 
 int main(int argc, char** argv) {
@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   Table table({"n", "Tco [us/PDU]", "Tap [ms]", "ack delay [ms]",
                "PDUs on wire", "sim time [ms]"});
   std::vector<double> ns, tcos, taps;
-  fuzz::Json::Array rows;
-  fuzz::Json last_snapshot;
+  Json::Array rows;
+  Json last_snapshot;
 
   for (const std::size_t n : {2u, 3u, 4u, 6u, 8u, 10u, 12u, 16u, 24u, 32u,
                               48u}) {
@@ -94,15 +94,15 @@ int main(int argc, char** argv) {
                    Table::num(r.accept_to_ack_ms, 3),
                    Table::num(r.wire_pdus), Table::num(r.sim_ms, 1)});
     if (!json_path.empty()) {
-      fuzz::Json::Object row;
-      row["n"] = fuzz::Json(static_cast<std::uint64_t>(n));
-      row["tco_us"] = fuzz::Json(r.tco_us);
-      row["tap_ms"] = fuzz::Json(r.tap_ms);
-      row["accept_to_ack_ms"] = fuzz::Json(r.accept_to_ack_ms);
-      row["wire_pdus"] = fuzz::Json(r.wire_pdus);
-      row["sim_ms"] = fuzz::Json(r.sim_ms);
-      rows.push_back(fuzz::Json(std::move(row)));
-      if (r.metrics) last_snapshot = fuzz::metrics_to_json(*r.metrics);
+      Json::Object row;
+      row["n"] = Json(static_cast<std::uint64_t>(n));
+      row["tco_us"] = Json(r.tco_us);
+      row["tap_ms"] = Json(r.tap_ms);
+      row["accept_to_ack_ms"] = Json(r.accept_to_ack_ms);
+      row["wire_pdus"] = Json(r.wire_pdus);
+      row["sim_ms"] = Json(r.sim_ms);
+      rows.push_back(Json(std::move(row)));
+      if (r.metrics) last_snapshot = obs::metrics_to_json(*r.metrics);
     }
   }
   table.print(std::cout);
@@ -119,15 +119,15 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     auto fit_json = [](const PowerFit& fit) {
-      fuzz::Json::Object o;
-      o["coeff"] = fuzz::Json(fit.coeff);
-      o["exponent"] = fuzz::Json(fit.exponent);
-      o["r2"] = fuzz::Json(fit.r2);
-      return fuzz::Json(std::move(o));
+      Json::Object o;
+      o["coeff"] = Json(fit.coeff);
+      o["exponent"] = Json(fit.exponent);
+      o["r2"] = Json(fit.r2);
+      return Json(std::move(o));
     };
-    fuzz::Json::Object doc;
-    doc["bench"] = fuzz::Json("fig8");
-    doc["rows"] = fuzz::Json(std::move(rows));
+    Json::Object doc;
+    doc["bench"] = Json("fig8");
+    doc["rows"] = Json(std::move(rows));
     doc["tco_fit"] = fit_json(tco_fit);
     doc["tap_fit"] = fit_json(tap_fit);
     doc["final_metrics"] = last_snapshot;  // largest-n run's snapshot
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << json_path << '\n';
       return 1;
     }
-    out << fuzz::Json(std::move(doc)).dump(2) << '\n';
+    out << Json(std::move(doc)).dump(2) << '\n';
     std::cout << "wrote " << json_path << '\n';
   }
   return 0;

@@ -27,8 +27,8 @@
 #include "src/co/kernels/layout.h"
 #include "src/co/prl.h"
 #include "src/co/wire.h"
+#include "src/common/json.h"
 #include "src/common/rng.h"
-#include "src/fuzz/json.h"
 #include "src/obs/trace/sink.h"
 #include "src/obs/trace/tracer.h"
 
@@ -241,7 +241,7 @@ BENCHMARK(BM_WireEncodeDecode)->Arg(4)->Arg(16)->Arg(64);
 // pruning, deferred confirmation) runs once per step, so the curve shows
 // how its cost amortizes across a batch; the batch-size-1 point IS the
 // per-message path the drivers use for single arrivals.
-fuzz::Json::Object run_batch_sweep() {
+Json::Object run_batch_sweep() {
   constexpr std::size_t kN = 32;           // cluster size (31 peers + self)
   constexpr std::size_t kMessages = 4096;  // arrivals per sweep point
   constexpr int kReps = 3;                 // best-of, to shed scheduler noise
@@ -278,7 +278,7 @@ fuzz::Json::Object run_batch_sweep() {
     return inputs;
   };
 
-  fuzz::Json::Object sweep;
+  Json::Object sweep;
   for (const std::size_t batch : {1u, 4u, 16u, 64u}) {
     double best_us = 0.0;
     // rep 0 is an untimed warm-up (faults pages, ramps the clock) so the
@@ -310,7 +310,7 @@ fuzz::Json::Object run_batch_sweep() {
 // regression gate asserts the dispatched backend never loses to scalar
 // beyond noise; when CO_FORCE_SCALAR pins the dispatch to scalar the two
 // columns time the same function and the gate is trivially satisfied.
-fuzz::Json::Object kernel_metrics(std::size_t n) {
+Json::Object kernel_metrics(std::size_t n) {
   constexpr int kIters = 20000;
   constexpr int kReps = 3;
   KernelFixture f(n);
@@ -364,11 +364,11 @@ fuzz::Json::Object kernel_metrics(std::size_t n) {
   static constexpr const char* kNames[6] = {"merge_max", "column_mins",
                                             "loss_scan", "lt_mask",
                                             "causal_gate", "all_set"};
-  fuzz::Json::Object kernels;
+  Json::Object kernels;
   for (int op = 0; op < 6; ++op) {
-    fuzz::Json::Object per;
+    Json::Object per;
     for (int b = 0; b < 2; ++b) per[kSlots[b]] = time_ns(*backends[b], op);
-    kernels[kNames[op]] = fuzz::Json(std::move(per));
+    kernels[kNames[op]] = Json(std::move(per));
   }
   return kernels;
 }
@@ -413,7 +413,7 @@ std::pair<std::uint64_t, std::uint64_t> cluster_processing(CoCluster& c,
 //   * ring — the always-on flight recorder (overwrite-oldest rings);
 //   * null_sink — streaming mode draining every record into the no-op
 //     sink: full emit + drain cost with zero I/O, the sink-overhead floor.
-fuzz::Json::Object trace_overhead_metrics() {
+Json::Object trace_overhead_metrics() {
   constexpr std::size_t kN = 32;
   constexpr int kWarmupRounds = 4;
   constexpr int kSteadyRounds = 12;
@@ -442,7 +442,7 @@ fuzz::Json::Object trace_overhead_metrics() {
     return best;
   };
 
-  fuzz::Json::Object rows;
+  Json::Object rows;
   rows["disabled_us_per_message"] = tco_us(nullptr);
   {
     obs::trace::Tracer ring;  // flight-recorder defaults
@@ -498,7 +498,7 @@ int run_hot_path_json(const std::string& path) {
   for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e)
     reused += c.entity(e).pool().bodies_reused();
 
-  fuzz::Json::Object doc;
+  Json::Object doc;
   doc["n"] = std::uint64_t{kN};
   doc["rounds_warmup"] = std::uint64_t{kWarmupRounds};
   doc["rounds_steady"] = std::uint64_t{kSteadyRounds};
@@ -525,7 +525,7 @@ int run_hot_path_json(const std::string& path) {
   // must stay off the hot path.
   doc["trace_overhead"] = trace_overhead_metrics();
 
-  const std::string text = fuzz::Json(std::move(doc)).dump(2);
+  const std::string text = Json(std::move(doc)).dump(2);
   std::ofstream out(path);
   out << text << '\n';
   if (!out) {

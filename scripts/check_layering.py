@@ -2,15 +2,17 @@
 """Layering check for the sans-io split.
 
 The protocol core must stay deployable without the simulator: src/co may
-not include anything from src/sim, src/net, src/transport or src/driver,
-the socket layer (src/transport) may include only src/common, the
-baselines (src/baselines) only the simulation substrate, and the one
-driver (every src/driver file but the simulated cluster) may not include
-src/sim. Run from anywhere; exits
+include only src/common, src/causality and the trace-record layout it
+writes, the socket layer (src/transport) may include only src/common, the
+baselines (src/baselines) only the simulation substrate, the one driver
+(every src/driver file but the simulated cluster) may not include src/sim,
+and only the fuzzer itself includes src/fuzz. Run from anywhere; exits
 non-zero and prints every violation as file:line: include.
 
 Rules (DESIGN.md "Layering"):
-  src/co        -> src/common, src/causality only (and itself)
+  src/co        -> src/common, src/causality and src/obs/trace/record.h
+                   only (and itself): the core emits binary trace records
+                   but links nothing of the tracer
   src/obs       -> no src/sim, no src/driver (tracer/metrics/exporters must
                    stay linkable from the realtime path)
   src/transport -> src/common only (and itself): it is the socket layer
@@ -23,6 +25,8 @@ Rules (DESIGN.md "Layering"):
   src/driver except cluster.{h,cpp} -> no src/sim (the driver, its Env and
                    the timer wheel are shared by the simulator and the host;
                    only CoCluster wires them to the simulator)
+  src/ except src/fuzz -> no src/fuzz (the fuzzer is a client of the
+                   libraries, never a dependency of one)
 """
 from __future__ import annotations
 
@@ -35,11 +39,6 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(src/[^"]+)"')
 
 # (scope, forbidden prefixes, rationale)
 RULES = [
-    (
-        "src/co",
-        ("src/sim/", "src/net/", "src/transport/", "src/driver/"),
-        "the sans-io core must not depend on any driver or environment",
-    ),
     (
         "src/host",
         ("src/sim/", "src/net/"),
@@ -56,6 +55,12 @@ RULES = [
 
 # (scope, the only prefixes it may include besides itself, rationale)
 ALLOW_ONLY = [
+    (
+        "src/co",
+        ("src/common/", "src/causality/", "src/obs/trace/record.h"),
+        "the sans-io core depends on src/common and src/causality only, "
+        "plus the trace-record layout it writes into each EffectBatch",
+    ),
     (
         "src/transport",
         ("src/common/",),
@@ -113,6 +118,19 @@ def main() -> int:
                     "(the driver must not depend on the simulator)"
                 )
 
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cpp"):
+            continue
+        rel = path.relative_to(REPO)
+        if rel.parts[:2] == ("src", "fuzz"):
+            continue
+        for lineno, inc in includes_of(path):
+            if inc.startswith("src/fuzz/"):
+                violations.append(
+                    f"{rel}:{lineno}: {inc}  "
+                    "(only the fuzzer includes src/fuzz)"
+                )
+
     if violations:
         print("layering violations:")
         for v in violations:
@@ -120,7 +138,7 @@ def main() -> int:
         return 1
     print("layering: OK (src/co is sans-io; src/transport is the socket "
           "layer; src/baselines shares nothing with CO; the driver is "
-          "sim-free)")
+          "sim-free; only src/fuzz includes src/fuzz)")
     return 0
 
 

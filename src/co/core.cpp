@@ -9,10 +9,8 @@
 
 namespace co::proto {
 
-CoCore::CoCore(EntityId self, CoConfig config, CoObserver* observer)
-    : self_(self),
-      config_(config),
-      observer_(observer != nullptr ? observer : &null_observer()) {
+CoCore::CoCore(EntityId self, CoConfig config)
+    : self_(self), config_(config) {
   config_.validate();
   CO_EXPECT(self_ >= 0 && static_cast<std::size_t>(self_) < config_.n);
 
@@ -194,7 +192,7 @@ void CoCore::transmit(const std::vector<std::uint8_t>& data, DstMask dst) {
   data_accepted_since_send_ = false;
   cancel_timer(TimerId::kDefer);
 
-  observer_->on_send(ref->key(), ref->is_data());
+  record(cat::CatId::kSend, ref->key(), ref->is_data() ? 1 : 0);
   out_->emit(BroadcastEffect{Message(ref)});
 
   // Invariant: while this entity still has data interest, a defer timer is
@@ -300,7 +298,7 @@ void CoCore::on_defer_timeout() {
     // restarts the exchange: its SEQ exposes our stream's tail to peers and
     // their responses expose theirs to us.
     ++stats_.heartbeats_sent;
-    observer_->on_event(cat::CatId::kProbe, PduKey{self_, seq_}, 0);
+    record(cat::CatId::kProbe, PduKey{self_, seq_}, 0);
     transmit({});
   }
   // Keep probing while the stall persists.
@@ -327,12 +325,16 @@ bool CoCore::ingest(const MessageArrived& arrival) {
     // truncated datagram, a peer misconfigured with a different n, or a
     // fuzzer-crafted frame — is dropped here, BEFORE any kernel reads
     // lanes it does not have; throwing would let one malformed datagram
-    // wedge the receive loop.
+    // wedge the receive loop. So is a SEQ further past REQ than the park
+    // buffer can span: no sender runs that far ahead, and the datagram must
+    // not raise F1, move known_max or feed its ACK vector to the F(2) scan.
     if (pdu.ack.size() != config_.n ||
-        !(pdu.src >= 0 && static_cast<std::size_t>(pdu.src) < config_.n)) {
+        !(pdu.src >= 0 && static_cast<std::size_t>(pdu.src) < config_.n) ||
+        pdu.seq >= req_[static_cast<std::size_t>(pdu.src)] +
+                       ParkBuffer::kMaxSpan) {
       ++stats_.malformed_dropped;
-      observer_->on_event(cat::CatId::kMalformed, pdu.key(),
-                          static_cast<std::uint32_t>(pdu.ack.size()));
+      record(cat::CatId::kMalformed, pdu.key(),
+             static_cast<std::uint32_t>(pdu.ack.size()));
       return false;
     }
     handle_data(*ref);
@@ -347,7 +349,7 @@ bool CoCore::ingest(const MessageArrived& arrival) {
         !(ret.src >= 0 && static_cast<std::size_t>(ret.src) < config_.n) ||
         !(ret.lsrc >= 0 && static_cast<std::size_t>(ret.lsrc) < config_.n)) {
       ++stats_.malformed_dropped;
-      observer_->on_event(cat::CatId::kMalformed, PduKey{ret.src, ret.lseq},
+      record(cat::CatId::kMalformed, PduKey{ret.src, ret.lseq},
                           static_cast<std::uint32_t>(ret.ack.size()));
       return false;
     }
@@ -364,7 +366,7 @@ void CoCore::handle_data(const PduRef& ref) {
   if (pdu.seq < req_[j]) {
     // Duplicate (a retransmission we no longer need).
     ++stats_.duplicates_dropped;
-    observer_->on_event(cat::CatId::kDup, pdu.key(), 0);
+    record(cat::CatId::kDup, pdu.key(), 0);
     return;
   }
   if (pdu.seq > req_[j]) {
@@ -372,16 +374,16 @@ void CoCore::handle_data(const PduRef& ref) {
     // Selective repeat: park the out-of-order PDU, request only the gap.
     ++stats_.f1_detections;
     // key: first missing SEQ of the gap; arg: gap length (clamped to 32 bits).
-    observer_->on_event(
-        cat::CatId::kF1, PduKey{pdu.src, req_[j]},
-        static_cast<std::uint32_t>(std::min<SeqNo>(pdu.seq - req_[j], 0xffffffffu)));
+    record(cat::CatId::kF1, PduKey{pdu.src, req_[j]},
+           static_cast<std::uint32_t>(
+               std::min<SeqNo>(pdu.seq - req_[j], 0xffffffffu)));
     const bool inserted = parked_[j].insert(req_[j], pdu.seq, ref);
     if (inserted) {
       ++stats_.parked_out_of_order;
       std::size_t parked_total = 0;
       for (const auto& b : parked_) parked_total += b.size();
       stats_.max_parked = std::max(stats_.max_parked, parked_total);
-      observer_->on_stage(obs::PduStage::kPark, pdu.key());
+      record(cat::CatId::kPark, pdu.key());
     }
     // F(2) on the parked PDU's ACK vector still applies — the F conditions
     // are checked on *receipt*, not acceptance (§4.3).
@@ -417,10 +419,9 @@ void CoCore::scan_acks_for_loss(const std::vector<SeqNo>& ack) {
           (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
       word &= word - 1;
       ++stats_.f2_detections;
-      observer_->on_event(
-          cat::CatId::kF2, PduKey{static_cast<EntityId>(k), req_[k]},
-          static_cast<std::uint32_t>(
-              std::min<SeqNo>(ack[k] - req_[k], 0xffffffffu)));
+      record(cat::CatId::kF2, PduKey{static_cast<EntityId>(k), req_[k]},
+             static_cast<std::uint32_t>(
+                 std::min<SeqNo>(ack[k] - req_[k], 0xffffffffu)));
       report_loss(static_cast<EntityId>(k), ack[k]);
     }
   }
@@ -468,7 +469,7 @@ void CoCore::accept(const PduRef& ref) {
     }
   }
 
-  observer_->on_stage(obs::PduStage::kAccept, pdu.key());
+  record(cat::CatId::kAccept, pdu.key());
 
   scan_acks_for_loss(pdu.ack);
 
@@ -528,7 +529,7 @@ void CoCore::send_ret(EntityId lsrc, SeqNo lseq) {
   r.ack = req_;
   r.buf = free_buffer_;
   ++stats_.ret_pdus_sent;
-  observer_->on_event(cat::CatId::kRet, PduKey{lsrc, lseq}, 0);
+  record(cat::CatId::kRet, PduKey{lsrc, lseq}, 0);
   out_->emit(BroadcastEffect{Message(std::move(r))});
 }
 
@@ -577,7 +578,7 @@ void CoCore::retransmit_range(EntityId /*requester*/, SeqNo from,
       continue;
     sl_resent_at_[off] = now;
     ++stats_.retransmissions_sent;
-    observer_->on_event(cat::CatId::kRtx, sl_[off]->key(), 0);
+    record(cat::CatId::kRtx, sl_[off]->key(), 0);
     // Same shared body as the original broadcast: a refcount bump, not a
     // deep copy.
     out_->emit(BroadcastEffect{Message(sl_[off])});
@@ -731,7 +732,7 @@ bool CoCore::pack_from(std::size_t j) {
     update_pal_row(p.src, p.ack);
     packed_high_[j] = p.seq;
     note_pack_time(entry);
-    observer_->on_stage(obs::PduStage::kPack, p.key());
+    record(cat::CatId::kPack, p.key());
     ++stats_.pre_acknowledged;
     // Under the gate nothing already logged is preceded by p, so CPI is an
     // append (see prl.h); only the ungated variants need the scan.
@@ -763,10 +764,9 @@ void CoCore::run_ack_action() {
     note_ack_time(entry);
     const bool deliver = p.is_data() && dst_contains(p.dst, self_) &&
                          config_.mutation != Mutation::kDeliverOnAccept;
-    // kDeliver precedes the kAck that completes the span (same sim time);
-    // the null observer makes these calls free enough to leave ungated.
-    if (deliver) observer_->on_stage(obs::PduStage::kDeliver, p.key());
-    observer_->on_stage(obs::PduStage::kAck, p.key());
+    // kDeliver precedes the kAck that completes the span (same sim time).
+    if (deliver) record(cat::CatId::kDeliver, p.key());
+    record(cat::CatId::kAck, p.key());
     if (deliver) {
       --undelivered_data_;
       ++stats_.delivered_to_app;

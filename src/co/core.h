@@ -9,13 +9,16 @@
 // appends to a caller-owned EffectBatch:
 //
 //   driver time/network/app --Input--> CoCore::step --Effect--> driver I/O
+//                                                   --Record--> consumers
 //
 // The one driver is src/driver/driver.h; its Env decides where timers live
 // (scheduler events in the simulated CoCluster, a monotonic-clock
 // TimerWheel in the UDP host).
 // There are no callbacks, no virtual dispatch and no std::function on this
-// path; the only observation channel is the synchronous CoObserver, which
-// is introspection, not I/O.
+// path. Observation is output too: every protocol milestone is a binary
+// trace record in EffectBatch::records, stamped with Input::at and this
+// entity as actor, which the driver hands to its tap and Env before it
+// replays the effects.
 //
 // Protocol state (paper §4.1):
 //   SEQ        next sequence number to broadcast
@@ -51,15 +54,14 @@
 #include "src/co/effects.h"
 #include "src/co/kernels/kernels.h"
 #include "src/co/kernels/layout.h"
-#include "src/co/observer.h"
 #include "src/co/park_buffer.h"
 #include "src/co/pdu.h"
 #include "src/co/pool.h"
 #include "src/co/prl.h"
 #include "src/co/time.h"
+#include "src/co/trace_categories.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
-#include "src/obs/stage.h"
 
 namespace co::proto {
 
@@ -124,10 +126,7 @@ std::ostream& operator<<(std::ostream& os, const CoEntityStats& s);
 
 class CoCore {
  public:
-  /// `observer` is the unified observation point (src/co/observer.h); not
-  /// owned. Null selects the shared no-op null_observer(), so the core
-  /// never null-checks before notifying.
-  CoCore(EntityId self, CoConfig config, CoObserver* observer = nullptr);
+  CoCore(EntityId self, CoConfig config);
 
   CoCore(const CoCore&) = delete;
   CoCore& operator=(const CoCore&) = delete;
@@ -311,16 +310,24 @@ class CoCore {
   void note_pack_time(const Prl::Entry& entry);
   void note_ack_time(const Prl::Entry& entry);
 
+  // --- Trace records -----------------------------------------------------------
+  /// Append milestone `id` for `key` to the step's record stream, stamped
+  /// with the input's time and this entity as actor.
+  void record(cat::CatId id, const PduKey& key, std::uint32_t arg = 0) {
+    out_->records.push_back(obs::trace::Record{
+        now_, key.seq, key.src, self_, static_cast<std::uint16_t>(id), 0,
+        arg});
+  }
+
   EntityId self_;
   CoConfig config_;
-  CoObserver* observer_;  // constructor argument or the shared null object
   CoEntityStats stats_;
 
   // Recycling allocator for every PDU body this entity broadcasts.
   PduPool pool_;
 
   // Step context: the input's timestamp and free-buffer sample, and the
-  // caller's effect sink. Valid only inside step().
+  // caller's effect and record sink. Valid only inside step().
   time::Tick now_ = 0;
   BufUnits free_buffer_ = 0;
   EffectBatch* out_ = nullptr;

@@ -3,12 +3,18 @@
 // The core never performs I/O. A driver hands it a batch of Inputs (PDU
 // arrivals, timer firings, application DT requests, idle ticks), each
 // stamped with the current time and the entity's free ingress-buffer count,
-// and the core appends typed Effects (broadcast, deliver, arm/cancel timer)
-// to a caller-owned EffectBatch. The driver then replays the effects into
-// its environment *in emission order* — that order is part of the protocol's
-// determinism contract: the simulator assigns scheduler sequence numbers as
-// it replays, so two drivers replaying the same effect stream reproduce the
-// same execution bit-for-bit.
+// and the core appends to a caller-owned EffectBatch:
+//   * typed Effects (broadcast, deliver, arm/cancel timer), which the driver
+//     replays into its environment *in emission order* — that order is part
+//     of the protocol's determinism contract: the simulator assigns
+//     scheduler sequence numbers as it replays, so two drivers replaying the
+//     same effect stream reproduce the same execution bit-for-bit;
+//   * binary trace records (src/obs/trace/record.h), one per protocol
+//     milestone — send, accept r_i[p], park, pre-ack, deliver, ack and the
+//     loss/recovery events — stamped with the input's time and this entity
+//     as actor. They are the core's whole event vocabulary: the fuzz digest,
+//     the flight recorder, Perfetto, the span tracker and the causality
+//     oracle all read them.
 //
 // Everything here is plain data: no callbacks, no virtual dispatch, no
 // std::function. The only indirection left on the hot path is the PduRef
@@ -23,6 +29,7 @@
 #include "src/co/pdu.h"
 #include "src/co/time.h"
 #include "src/common/types.h"
+#include "src/obs/trace/record.h"
 
 namespace co::proto {
 
@@ -110,10 +117,17 @@ using Effect =
 
 /// Flat, caller-owned effect sink. Drivers clear() and reuse one batch
 /// across steps, so the steady state allocates nothing here either.
+/// Iteration, size() and empty() cover the effects; `records` is the step's
+/// trace-record stream beside them (the stream field is left 0 for the
+/// tracer that stores a record to assign).
 struct EffectBatch {
   std::vector<Effect> effects;
+  std::vector<obs::trace::Record> records;
 
-  void clear() { effects.clear(); }
+  void clear() {
+    effects.clear();
+    records.clear();
+  }
   bool empty() const { return effects.empty(); }
   std::size_t size() const { return effects.size(); }
   const Effect& operator[](std::size_t i) const { return effects[i]; }

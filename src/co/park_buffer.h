@@ -87,6 +87,12 @@ class ParkBuffer {
     return out;
   }
 
+  /// Widest gap a parked SEQ may sit past REQ. A backstop against a
+  /// corrupted or forged SEQ exploding the ring (CoCore drops such PDUs
+  /// before they get here); real gap spans are bounded by the sender-side
+  /// backlog cap (a few windows).
+  static constexpr SeqNo kMaxSpan = SeqNo{1} << 20;
+
   /// Advance the window: drop any parked entry with SEQ < req (stale — the
   /// acceptance cursor moved past it) and rebase the ring at req.
   void drop_below(SeqNo req) {
@@ -111,10 +117,6 @@ class ParkBuffer {
   }
 
  private:
-  // Backstop against a corrupted SEQ exploding the ring; real gap spans are
-  // bounded by the sender-side backlog cap (a few windows).
-  static constexpr SeqNo kMaxSpan = SeqNo{1} << 20;
-
   bool occupied(std::size_t i) const {
     return (occ_[i >> 6] >> (i & 63)) & 1u;
   }

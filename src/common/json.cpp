@@ -1,4 +1,4 @@
-#include "src/fuzz/json.h"
+#include "src/common/json.h"
 
 #include <cctype>
 #include <charconv>
@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-namespace co::fuzz {
+namespace co {
 
 namespace {
 
@@ -355,4 +355,4 @@ bool Json::has(const std::string& key) const {
   return as_object().contains(key);
 }
 
-}  // namespace co::fuzz
+}  // namespace co

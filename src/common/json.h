@@ -1,9 +1,9 @@
-// Minimal JSON value model for fuzzer artifacts.
+// Minimal JSON value model: fuzzer artifacts, bench reports, metrics.
 //
-// Counterexample artifacts (scenario + verdict + replay digest) must be
-// plain JSON so humans, CI and `co_fuzz --replay` can all consume them.
-// The toolchain image carries no JSON dependency, so this is a small,
-// strict, self-contained reader/writer:
+// Counterexample artifacts (scenario + verdict + replay digest), bench JSON
+// reports and metrics snapshots must be plain JSON so humans, CI and
+// `co_fuzz --replay` can all consume them. The project takes no JSON
+// dependency, so this is a small, strict, self-contained reader/writer:
 //   * integers round-trip exactly (seeds and digests are full uint64s);
 //   * objects keep sorted key order, so dumps are byte-stable;
 //   * parse errors throw std::runtime_error with an offset.
@@ -18,7 +18,7 @@
 #include <variant>
 #include <vector>
 
-namespace co::fuzz {
+namespace co {
 
 class Json {
  public:
@@ -77,4 +77,4 @@ class Json {
       v_;
 };
 
-}  // namespace co::fuzz
+}  // namespace co

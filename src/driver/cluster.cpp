@@ -9,59 +9,48 @@
 
 namespace co::proto {
 
-// One simulated entity. As the core's CoObserver it does the cluster's
-// bookkeeping first (delivery expectations, oracle, span tracker, tracer)
-// and then forwards every callback to the user observer — so a user tap sees
-// the cluster's state already consistent with the event it is told about.
-// As the driver's Env it puts broadcasts on the MC network and maps each of
-// the core's one-shot timers onto one scheduler TimerHandle slot: when a
-// slot fires its handle is already spent, so the timer reads non-pending
-// inside the handler, as Driver::fire requires.
-class CoCluster::Entity final : public CoObserver, public driver::Env {
+// One simulated entity: its core's driver::Env. Env::trace does the
+// cluster's bookkeeping from the step's records (send times, delivery
+// expectations, oracle, span tracker) and stores them in the tracer; a user
+// EffectTap saw the same records just before. The other Env hooks put
+// broadcasts on the MC network and map each of the core's one-shot timers
+// onto one scheduler TimerHandle slot: when a slot fires its handle is
+// already spent, so the timer reads non-pending inside the handler, as
+// Driver::fire requires.
+class CoCluster::Entity final : public driver::Env {
  public:
   Entity(CoCluster& cluster, EntityId id)
-      : core(id, cluster.options_.proto, this),
+      : core(id, cluster.options_.proto),
         driver(core, *this, cluster.options_.effect_tap),
         cluster_(cluster),
         id_(id) {}
 
-  // --- CoObserver -----------------------------------------------------------
-
-  void on_send(const PduKey& key, bool is_data) override {
-    CoCluster& c = cluster_;
-    c.sent_at_.emplace(key, c.sched_.now());
-    if (c.options_.obs)
-      c.options_.obs->spans.on_send(key, is_data, c.sched_.now());
-    if (is_data) {
-      c.data_sent_.push_back(key);
-      const DstMask dst = pending_dst.empty() ? kEveryone : pending_dst.front();
-      if (!pending_dst.empty()) pending_dst.pop_front();
-      c.sent_dst_.emplace(key, dst);
-      for (const auto& e : c.entities_)
-        if (dst_contains(dst, e->id_)) ++e->expected_deliveries;
-    }
-    if (c.trace_) c.trace_->on_send(id_, key);
-    trace_emit(obs::trace::EventId::kSend, key, is_data ? 1 : 0);
-    user().on_send(key, is_data);
-  }
-
-  void on_stage(obs::PduStage stage, const PduKey& key) override {
-    if (stage == obs::PduStage::kAccept && cluster_.trace_)
-      cluster_.trace_->on_accept(id_, key);
-    if (cluster_.options_.obs)
-      cluster_.options_.obs->spans.on_stage(id_, stage, key,
-                                            cluster_.sched_.now());
-    trace_emit(obs::trace::to_event(obs::stage_cat(stage)), key);
-    user().on_stage(stage, key);
-  }
-
-  void on_event(cat::CatId id, const PduKey& key,
-                std::uint32_t arg) override {
-    trace_emit(obs::trace::to_event(id), key, arg);
-    user().on_event(id, key, arg);
-  }
-
   // --- driver::Env ----------------------------------------------------------
+
+  void trace(std::span<const obs::trace::Record> records) override {
+    CoCluster& c = cluster_;
+    for (const obs::trace::Record& r : records) {
+      const PduKey key{r.origin, r.seq};
+      const auto event = static_cast<obs::trace::EventId>(r.event);
+      if (event == obs::trace::EventId::kSend) {
+        c.sent_at_.emplace(key, r.at);
+        if (r.arg != 0) {  // a data PDU
+          c.data_sent_.push_back(key);
+          const DstMask dst =
+              pending_dst.empty() ? kEveryone : pending_dst.front();
+          if (!pending_dst.empty()) pending_dst.pop_front();
+          c.sent_dst_.emplace(key, dst);
+          for (const auto& e : c.entities_)
+            if (dst_contains(dst, e->id_)) ++e->expected_deliveries;
+        }
+        if (c.trace_) c.trace_->on_send(id_, key);
+      } else if (event == obs::trace::EventId::kAccept && c.trace_) {
+        c.trace_->on_accept(id_, key);
+      }
+      if (c.options_.obs) c.options_.obs->spans.on_record(r);
+      if (c.options_.tracer != nullptr) c.options_.tracer->emit(r);
+    }
+  }
 
   void broadcast(Message&& msg) override {
     cluster_.network_->broadcast(id_, std::move(msg));
@@ -99,20 +88,6 @@ class CoCluster::Entity final : public CoObserver, public driver::Env {
   std::deque<DstMask> pending_dst;
 
  private:
-  CoObserver& user() const {
-    return cluster_.options_.observer != nullptr ? *cluster_.options_.observer
-                                                 : null_observer();
-  }
-
-  /// Stamp scheduler time onto a binary trace record; the entity's track is
-  /// this entity, the causal identity is the PduKey.
-  void trace_emit(obs::trace::EventId event, const PduKey& key,
-                  std::uint32_t arg = 0) const {
-    if (cluster_.options_.tracer != nullptr)
-      cluster_.options_.tracer->emit(event, cluster_.sched_.now(), id_,
-                                     key.src, key.seq, arg);
-  }
-
   CoCluster& cluster_;
   EntityId id_;
   sim::TimerHandle timers_[kTimerCount];
@@ -156,9 +131,9 @@ void CoCluster::submit(EntityId i, std::vector<std::uint8_t> data,
   CO_EXPECT(!data.empty());
   Entity& e = at(i);
   ++submitted_;
-  // The destination mask travels out-of-band to the observer: each entity's
-  // DT requests leave its app queue in FIFO order, so the pending masks
-  // line up with its data PDUs as they hit the wire.
+  // The destination mask travels out-of-band to the kSend bookkeeping: each
+  // entity's DT requests leave its app queue in FIFO order, so the pending
+  // masks line up with its data PDUs as they hit the wire.
   e.pending_dst.push_back(dst);
   if (options_.obs) options_.obs->spans.on_submit(i, sched_.now());
   e.driver.submit(std::move(data), dst, sched_.now());

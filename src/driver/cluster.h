@@ -4,10 +4,11 @@
 // This is the top-level convenience used by tests, examples and benches:
 // it owns the scheduler, the network, the n sans-io cores and the
 // driver::Driver that animates each of them, per-entity delivery logs, and
-// the happened-before trace. Each entity is one cluster-side adapter that is
-// both its core's CoObserver and its driver's Env: timers become scheduler
-// events, broadcasts go to the MC network. User taps ride behind the
-// observer via ClusterOptions::observer (or ClusterBuilder::observer).
+// the happened-before trace. Each entity is one cluster-side adapter, its
+// driver's Env: timers become scheduler events, broadcasts go to the MC
+// network, and the core's trace records drive the cluster's bookkeeping.
+// A user observes every entity's effects and records through
+// ClusterOptions::effect_tap (or ClusterBuilder::effect_tap).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include "src/causality/trace.h"
 #include "src/co/config.h"
 #include "src/co/core.h"
-#include "src/co/observer.h"
 #include "src/common/stats.h"
 #include "src/driver/driver.h"
 #include "src/net/mc_network.h"
@@ -41,21 +41,18 @@ struct ClusterOptions {
   net::McConfig net;   // net.n is overwritten with proto.n
   bool record_trace = true;
   /// Optional observability bundle (not owned; must be built for this n).
-  /// When set, the cluster feeds the span tracker from the entity lifecycle
-  /// milestones and registers entity/network/scheduler instruments with the
-  /// registry. Null = introspection off (one skipped branch per milestone).
+  /// When set, the cluster feeds the span tracker the entities' trace
+  /// records and registers entity/network/scheduler instruments with the
+  /// registry. Null = introspection off (one skipped branch per record).
   obs::Observability* obs = nullptr;
-  /// Optional user observer (not owned): sees every entity's protocol
-  /// milestones after the cluster's own bookkeeping. Combine several with
-  /// MulticastObserver. Null = no tap.
-  CoObserver* observer = nullptr;
-  /// Optional effect-stream tap (not owned): sees every entity's effect
-  /// batches before the driver replays them (src/driver/effect_tap.h).
-  /// The fuzz driver records and digests the stream this way. Null = off.
+  /// Optional tap (not owned): sees every entity's step output — effects
+  /// and trace records — before the driver replays it and before the
+  /// cluster's own bookkeeping (src/driver/effect_tap.h). The fuzz driver
+  /// records and digests the effect stream this way. Null = off.
   driver::EffectTap* effect_tap = nullptr;
-  /// Optional binary event tracer (not owned): every entity's protocol
-  /// milestones become 32-byte records stamped with scheduler time
-  /// (src/obs/trace). Null = off (one skipped branch per milestone).
+  /// Optional binary event tracer (not owned): stores every entity's
+  /// protocol records, stamped with scheduler time (src/obs/trace).
+  /// Null = off (one skipped branch per record).
   obs::trace::Tracer* tracer = nullptr;
 };
 
@@ -127,10 +124,9 @@ class CoCluster {
   std::string dump_entity_stats() const;
 
  private:
-  /// One simulated entity: its core, its driver, and the adapter that is
-  /// both the core's CoObserver (delivery bookkeeping, oracle, span
-  /// tracker, tracer, then the user observer) and the driver's Env
-  /// (network, delivery log, scheduler-backed timers).
+  /// One simulated entity: its core, its driver, and the driver's Env
+  /// (record bookkeeping — send times, oracle, span tracker, tracer — the
+  /// network, the delivery log and scheduler-backed timers).
   class Entity;
   Entity& at(EntityId i) const;
 
@@ -157,7 +153,7 @@ class CoCluster {
 ///   auto cluster = ClusterBuilder(8)
 ///                      .window(4)
 ///                      .tracer(&tracer)
-///                      .observer(&tap)
+///                      .effect_tap(&tap)
 ///                      .build();
 ///
 /// The builder only assembles ClusterOptions — build() delegates to the
@@ -185,10 +181,6 @@ class ClusterBuilder {
   }
   ClusterBuilder& record_trace(bool on) {
     options_.record_trace = on;
-    return *this;
-  }
-  ClusterBuilder& observer(CoObserver* tap) {
-    options_.observer = tap;
     return *this;
   }
   ClusterBuilder& effect_tap(driver::EffectTap* tap) {

@@ -63,8 +63,9 @@ void Driver::dispatch(proto::Input input) {
 }
 
 void Driver::replay(time::Tick now) {
-  if (batch_.empty()) return;
+  if (batch_.empty() && batch_.records.empty()) return;
   if (tap_ != nullptr) tap_->on_effects(core_.self(), now, batch_);
+  if (!batch_.records.empty()) env_.trace(batch_.records);
   for (proto::Effect& effect : batch_.effects) {
     if (auto* b = std::get_if<proto::BroadcastEffect>(&effect)) {
       env_.broadcast(std::move(b->msg));

@@ -9,11 +9,16 @@
 // driver itself has ZERO src/sim dependencies, which is what makes the UDP
 // host deployable without linking the simulator.
 //
-// Replay discipline: broadcasts reach the Env in emission order and timer
-// arms/cancels are forwarded in emission order, within the same call. The
-// simulator relies on this for bit-identical runs (transit events and timer
-// events consume scheduler sequence numbers in a fixed order). Nothing in
-// the replay re-enters the core.
+// Replay discipline: after each step the driver shows the batch to the
+// optional EffectTap, hands the step's trace records to Env::trace, and
+// then replays the effects: broadcasts reach the Env in emission order and
+// timer arms/cancels are forwarded in emission order, within the same call.
+// The simulator relies on this for bit-identical runs (transit events and
+// timer events consume scheduler sequence numbers in a fixed order), and
+// records reaching the Env first keeps every trace stream in the order it
+// had when the core reported milestones mid-step: a step's protocol records
+// precede the driver's kTimerArm/kTimerCancel and the Env's kWireTx.
+// Nothing in the replay re-enters the core.
 //
 // Timers: the core's one-shot timers are armed and cancelled through
 // Env::arm/cancel; when one falls due, the Env's owner calls fire(). The
@@ -27,6 +32,7 @@
 // steady-state allocations.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/co/core.h"
@@ -53,6 +59,11 @@ class Env {
   virtual void arm(proto::TimerId timer, time::Deadline deadline) = 0;
   /// Disarm `timer`; a no-op when it is not armed.
   virtual void cancel(proto::TimerId timer) = 0;
+  /// The step's protocol milestones (EffectBatch::records), before its
+  /// effects are replayed. The default drops them.
+  virtual void trace(std::span<const obs::trace::Record> records) {
+    (void)records;
+  }
   /// Free ingress-buffer units to advertise as BUF. Real sockets expose no
   /// portable count, so the default is a generous constant (the kernel
   /// buffer dwarfs the protocol's 2nW working set).
@@ -95,12 +106,14 @@ class Driver {
   /// Attach a binary event tracer (not owned; null = off). The driver emits
   /// kSubmit on every DT request, kTimerArm/kTimerCancel as timer effects
   /// are replayed and kTimerFire in fire() — the runtime complement of the
-  /// protocol milestones the core's own observer reports.
+  /// protocol milestones the core writes into EffectBatch::records, which
+  /// reach a tracer through the Env.
   void set_tracer(obs::trace::Tracer* tracer) { tracer_ = tracer; }
 
  private:
   void dispatch(proto::Input input);
-  /// Show the batch to the tap, then replay it into the Env.
+  /// Show the batch to the tap, hand its records to the Env, then replay
+  /// its effects into the Env.
   void replay(time::Tick now);
 
   proto::CoCore& core_;

@@ -1,11 +1,14 @@
-// EffectTap — passive observation of the effect stream a driver replays.
+// EffectTap — passive observation of everything a core step emits.
 //
-// driver::Driver invokes the tap once per non-empty step, before replaying
-// the batch into its Env, whichever runtime owns it (ClusterOptions::
-// effect_tap in the simulator). The fuzz runner's recorder uses this to fold
-// every effect into a digest and to snapshot effect transcripts for
-// counterexample artifacts; nothing in the protocol depends on a tap being
-// present.
+// driver::Driver invokes the tap once per step that emitted effects or
+// trace records, before the Env sees either, whichever runtime owns it
+// (ClusterOptions::effect_tap in the simulator, HostBuilder::effect_tap on
+// the UDP host, where it runs on the shard threads). The batch carries the
+// effects and the step's protocol milestones (EffectBatch::records, each
+// naming its actor), so one tap can observe every entity: the fuzz runner's
+// recorder folds the effects into a digest, the host tests feed the
+// causality oracle from the records. Nothing in the protocol depends on a
+// tap being present.
 #pragma once
 
 #include "src/co/effects.h"
@@ -18,8 +21,9 @@ class EffectTap {
  public:
   virtual ~EffectTap() = default;
 
-  /// `entity` stepped at driver time `at` and emitted `batch` (non-empty).
-  /// Called before the driver replays the batch, in step order.
+  /// `entity` stepped at driver time `at` and emitted `batch` (effects,
+  /// records or both). Called before the driver replays the batch, in step
+  /// order.
   virtual void on_effects(EntityId entity, time::Tick at,
                           const proto::EffectBatch& batch) = 0;
 };

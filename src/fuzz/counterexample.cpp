@@ -4,7 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/fuzz/obs_json.h"
+#include "src/obs/export.h"
 
 namespace co::fuzz {
 
@@ -95,7 +95,7 @@ Counterexample Counterexample::make(const Scenario& scenario,
   ce.effects_emitted = report.effects_emitted;
   ce.effect_sample = report.effect_sample;
   ce.original_seed = scenario.seed;
-  ce.metrics = metrics_to_json(report.metrics);
+  ce.metrics = obs::metrics_to_json(report.metrics);
   ce.entity_stats = report.entity_stats;
   return ce;
 }

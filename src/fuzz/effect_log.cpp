@@ -53,6 +53,9 @@ void EffectRecorder::fold(std::uint64_t v) {
 
 void EffectRecorder::on_effects(EntityId entity, time::Tick at,
                                 const proto::EffectBatch& batch) {
+  // Record-only steps (a dup, an f1 with nothing to send) fold nothing: the
+  // effect digest pins the effect stream, and the record digest the records.
+  if (batch.empty()) return;
   fold(static_cast<std::uint64_t>(entity));
   fold(static_cast<std::uint64_t>(at));
   for (const proto::Effect& effect : batch) {

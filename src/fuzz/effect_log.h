@@ -1,7 +1,8 @@
 // EffectRecorder — folds the effect stream of a fuzz run into a digest.
 //
-// Each CoCluster entity's driver::Driver calls the tap once per non-empty
-// step, before replaying the batch (src/driver/effect_tap.h). The recorder folds every
+// Each CoCluster entity's driver::Driver calls the tap once per step that
+// emitted anything, before replaying the batch (src/driver/effect_tap.h).
+// The recorder skips steps that emitted only trace records and folds every
 // effect — entity, step time, effect kind, payload identity — into an
 // FNV-1a digest and keeps the first few rendered effect lines as a
 // human-readable transcript sample. Both ride in counterexample artifacts:

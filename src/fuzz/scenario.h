@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/co/config.h"
-#include "src/fuzz/json.h"
+#include "src/common/json.h"
 #include "src/net/fault.h"
 #include "src/net/mc_network.h"
 #include "src/sim/time.h"

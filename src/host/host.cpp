@@ -112,9 +112,8 @@ HostBuilder& HostBuilder::shards(std::size_t count) {
   return *this;
 }
 
-HostBuilder& HostBuilder::entity(EntityId id, transport::UdpEndpoint ep,
-                                 proto::CoObserver* tap) {
-  entities_.push_back(LocalEntity{id, ep, tap});
+HostBuilder& HostBuilder::entity(EntityId id, transport::UdpEndpoint ep) {
+  entities_.emplace_back(id, ep);
   return *this;
 }
 
@@ -130,6 +129,11 @@ HostBuilder& HostBuilder::deliver(DeliverFn fn) {
 
 HostBuilder& HostBuilder::tracer(obs::trace::Tracer* tracer) {
   tracer_ = tracer;
+  return *this;
+}
+
+HostBuilder& HostBuilder::effect_tap(driver::EffectTap* tap) {
+  effect_tap_ = tap;
   return *this;
 }
 
@@ -191,7 +195,7 @@ std::unique_ptr<Host> HostBuilder::build() {
   }
 
   for (std::size_t i = 0; i < entities_.size(); ++i) {
-    const auto [id, ep, tap] = entities_[i];
+    const auto [id, ep] = entities_[i];
     CO_EXPECT_MSG(id >= 0 && static_cast<std::size_t>(id) < proto_.n,
                   "local entity id E" << id << " outside cluster of "
                                       << proto_.n);
@@ -204,8 +208,8 @@ std::unique_ptr<Host> HostBuilder::build() {
     cfg.id = id;
     cfg.proto = proto_;
     cfg.socket.bind_loopback(ep.port);
-    cfg.observer = tap;
     cfg.tracer = tracer_;
+    cfg.effect_tap = effect_tap_;
     cfg.send_loss_probability = send_loss_;
     cfg.loss_seed = loss_seed_ + static_cast<std::uint64_t>(id);
     cfg.submit_queue_capacity = submit_queue_capacity_;

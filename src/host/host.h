@@ -28,7 +28,8 @@
 //     (the SPSC ring's contract); different entities may be fed from
 //     different threads concurrently.
 //   * the deliver callback runs on the shard thread owning the delivering
-//     entity, and so does that entity's observer tap.
+//     entity, and so does the effect tap for that entity's steps (one tap
+//     serves every entity, so it is called from every shard thread).
 //   * wire_stats()/protocol_stats() are stable after stop(); while running
 //     they are best-effort (counters mutate on shard threads).
 #pragma once
@@ -38,6 +39,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/host/shard.h"
@@ -150,13 +152,10 @@ class HostBuilder {
   HostBuilder& proto(const proto::CoConfig& config);
   HostBuilder& shards(std::size_t count);
   /// Declare a local entity bound to `ep` (default: loopback, ephemeral
-  /// port — resolved after build() via Host::endpoint()). `tap` is an
-  /// optional per-entity observer (the CoObserver callbacks carry no
-  /// receiver identity, so per-entity oracles need one tap per entity).
+  /// port — resolved after build() via Host::endpoint()).
   HostBuilder& entity(EntityId id,
                       transport::UdpEndpoint ep =
-                          transport::UdpEndpoint::loopback(0),
-                      proto::CoObserver* tap = nullptr);
+                          transport::UdpEndpoint::loopback(0));
   /// Declare a remote entity's endpoint (may also be set later, while the
   /// host is bound, via Host::set_peer()).
   HostBuilder& peer(EntityId id, transport::UdpEndpoint ep);
@@ -164,6 +163,11 @@ class HostBuilder {
   /// Shared binary event tracer (not owned; one lock-free stream per shard
   /// thread, so the merged snapshot is the cross-shard record).
   HostBuilder& tracer(obs::trace::Tracer* tracer);
+  /// Host-wide step tap (not owned): sees every local entity's effects and
+  /// trace records (src/driver/effect_tap.h). It runs on the shard threads,
+  /// concurrently when there are several, so it must synchronize itself;
+  /// records name their actor, so one tap serves every entity.
+  HostBuilder& effect_tap(driver::EffectTap* tap);
   /// Sender-side loss injection for every local entity; entity i uses
   /// seed + i so shards stay deterministic per entity.
   HostBuilder& send_loss(double probability,
@@ -189,15 +193,11 @@ class HostBuilder {
  private:
   proto::CoConfig proto_;
   std::size_t shards_ = 1;
-  struct LocalEntity {
-    EntityId id;
-    transport::UdpEndpoint endpoint;
-    proto::CoObserver* observer = nullptr;
-  };
-  std::vector<LocalEntity> entities_;
+  std::vector<std::pair<EntityId, transport::UdpEndpoint>> entities_;
   std::vector<std::pair<EntityId, transport::UdpEndpoint>> remote_peers_;
   DeliverFn deliver_;
   obs::trace::Tracer* tracer_ = nullptr;
+  driver::EffectTap* effect_tap_ = nullptr;
   double send_loss_ = 0.0;
   std::uint64_t loss_seed_ = Rng::kDefaultSeed;
   std::size_t submit_queue_capacity_ = kDefaultSubmitQueueCapacity;

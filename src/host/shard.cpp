@@ -30,23 +30,9 @@ EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
       loss_rng_(config.loss_seed) {
   CO_EXPECT(id_ >= 0 && static_cast<std::size_t>(id_) < n_);
   CO_EXPECT_MSG(socket_.is_open(), "entity socket must be bound");
-
-  proto::CoObserver* observer = config.observer;
-  if (tracer_ != nullptr) {
-    trace_bridge_ =
-        std::make_unique<obs::trace::TracingObserver>(*tracer_, id_);
-    if (observer != nullptr) {
-      observer_fanout_ = std::make_unique<proto::MulticastObserver>();
-      observer_fanout_->add(trace_bridge_.get());
-      observer_fanout_->add(observer);
-      observer = observer_fanout_.get();
-    } else {
-      observer = trace_bridge_.get();
-    }
-  }
-  core_ = std::make_unique<proto::CoCore>(id_, config.proto, observer);
+  core_ = std::make_unique<proto::CoCore>(id_, config.proto);
   driver_ = std::make_unique<driver::Driver>(
-      *core_, static_cast<driver::Env&>(*this));
+      *core_, static_cast<driver::Env&>(*this), config.effect_tap);
   driver_->set_tracer(tracer_);
 }
 
@@ -74,6 +60,11 @@ SubmitResult EntityRuntime::submit(std::vector<std::uint8_t> data,
   }
   if (shard_.sleeping_.load(std::memory_order_relaxed)) shard_.wake();
   return SubmitResult::kAccepted;
+}
+
+void EntityRuntime::trace(std::span<const obs::trace::Record> records) {
+  if (tracer_ == nullptr) return;
+  for (const obs::trace::Record& r : records) tracer_->emit(r);
 }
 
 void EntityRuntime::broadcast(proto::Message&& msg) {
@@ -156,10 +147,7 @@ void Shard::pump_self(EntityRuntime& e, time::Tick now) {
       }
       e.arrivals_.push_back(proto::MessageArrived{e.id_, std::move(*msg)});
     }
-    if (!e.arrivals_.empty()) {
-      if (e.trace_bridge_) e.trace_bridge_->set_now(now);
-      e.driver_->on_messages(e.arrivals_, now);
-    }
+    if (!e.arrivals_.empty()) e.driver_->on_messages(e.arrivals_, now);
   }
 }
 
@@ -167,7 +155,6 @@ bool Shard::drain_submissions(EntityRuntime& e, time::Tick now) {
   bool any = false;
   EntityRuntime::Submission s;
   while (e.submissions_.try_pop(s)) {
-    if (e.trace_bridge_) e.trace_bridge_->set_now(now);
     e.driver_->submit(std::move(s.data), s.dst, now);
     any = true;
   }
@@ -216,7 +203,6 @@ bool Shard::ingest_socket(EntityRuntime& e, time::Tick now) {
       e.arrivals_.push_back(proto::MessageArrived{src, std::move(*msg)});
     }
     if (!e.arrivals_.empty()) {
-      if (e.trace_bridge_) e.trace_bridge_->set_now(now);
       e.driver_->on_messages(e.arrivals_, now);
       pump_self(e, now);
     }
@@ -244,7 +230,6 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   time::Tick now = wall_now();
   for (auto& e : entities_) {
     activity |= drain_submissions(*e, now);
-    if (e->trace_bridge_) e->trace_bridge_->set_now(now);
     // pop_due disarms before fire() dispatches, and handlers re-arm with
     // strictly positive timeouts, so this loop terminates.
     bool fired = false;

@@ -33,10 +33,10 @@
 // event (see set_spin), trading a sliver of idle CPU for microsecond
 // pickup latency.
 //
-// Tracing: all events a shard emits (wire_tx/rx, timer, protocol
-// milestones) land on the shard thread, so a Tracer shared across the host
-// gets one lock-free stream per shard thread — the per-thread single-writer
-// design of src/obs/trace, unchanged.
+// Tracing: all events a shard emits (wire_tx/rx, timer, and the protocol
+// records its cores write into each step's EffectBatch) land on the shard
+// thread, so a Tracer shared across the host gets one lock-free stream per
+// shard thread — the per-thread single-writer design of src/obs/trace.
 #pragma once
 
 #include <poll.h>
@@ -47,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/co/core.h"
@@ -55,7 +56,7 @@
 #include "src/driver/timer_wheel.h"
 #include "src/host/spsc.h"
 #include "src/host/wakeup.h"
-#include "src/obs/trace/bridge.h"
+#include "src/obs/trace/tracer.h"
 #include "src/transport/udp.h"
 
 namespace co::host {
@@ -144,12 +145,11 @@ struct EntityRuntimeConfig {
   EntityId id = kNoEntity;
   proto::CoConfig proto;
   transport::UdpSocket socket;  // already bound
-  /// Per-entity user observer (nullable; callbacks run on the shard
-  /// thread).
-  proto::CoObserver* observer = nullptr;
   /// Shared binary event tracer (nullable; per-thread streams make sharing
   /// across shards free).
   obs::trace::Tracer* tracer = nullptr;
+  /// Shared step tap (nullable; called on the shard thread).
+  driver::EffectTap* effect_tap = nullptr;
   /// Test hook: drop outgoing datagrams (to peers other than self) with
   /// this probability — loopback UDP practically never loses packets.
   double send_loss_probability = 0.0;
@@ -197,8 +197,10 @@ class EntityRuntime final : private driver::Env {
  private:
   friend class Shard;
 
-  // driver::Env — effects fan out through the owning shard; timers arm
-  // the entity's wheel, which the shard's loop pops into Driver::fire.
+  // driver::Env — records go to the tracer, effects fan out through the
+  // owning shard; timers arm the entity's wheel, which the shard's loop
+  // pops into Driver::fire.
+  void trace(std::span<const obs::trace::Record> records) override;
   void broadcast(proto::Message&& msg) override;
   void deliver(const proto::CoPdu& pdu) override;
   void arm(proto::TimerId timer, time::Deadline deadline) override {
@@ -216,11 +218,6 @@ class EntityRuntime final : private driver::Env {
   Shard& shard_;
   transport::UdpSocket socket_;
   obs::trace::Tracer* tracer_;
-  // Tracing plumbing (engaged only when a tracer is attached): the bridge
-  // stamps the shard clock onto core milestones; the multicast keeps a
-  // user observer working alongside it.
-  std::unique_ptr<obs::trace::TracingObserver> trace_bridge_;
-  std::unique_ptr<proto::MulticastObserver> observer_fanout_;
   std::unique_ptr<proto::CoCore> core_;
   driver::TimerWheel wheel_;
   std::unique_ptr<driver::Driver> driver_;

@@ -412,4 +412,37 @@ std::optional<std::string> validate_prometheus(std::string_view text) {
   return std::nullopt;
 }
 
+Json metrics_to_json(const MetricsSnapshot& snap) {
+  Json::Array series;
+  series.reserve(snap.series.size());
+  for (const auto& s : snap.series) {
+    Json::Object o;
+    o["name"] = Json(s.name);
+    Json::Object labels;
+    for (const auto& [k, v] : s.labels) labels[k] = Json(v);
+    o["labels"] = Json(std::move(labels));
+    o["type"] = Json(std::string(metric_type_name(s.type)));
+    if (s.type == MetricType::kHistogram) {
+      o["count"] = Json(s.count);
+      o["sum"] = Json(s.sum);
+      o["min"] = Json(s.hist_min);
+      o["max"] = Json(s.hist_max);
+      Json::Array buckets;
+      for (std::size_t i = 0; i < s.buckets.size(); ++i) {
+        if (s.buckets[i] == 0) continue;
+        buckets.push_back(Json(Json::Array{
+            Json(static_cast<std::uint64_t>(i)), Json(s.buckets[i])}));
+      }
+      o["buckets"] = Json(std::move(buckets));
+    } else {
+      o["value"] = Json(s.value);
+    }
+    series.push_back(Json(std::move(o)));
+  }
+  Json::Object top;
+  top["at_ns"] = Json(static_cast<std::int64_t>(snap.at));
+  top["series"] = Json(std::move(series));
+  return Json(std::move(top));
+}
+
 }  // namespace co::obs

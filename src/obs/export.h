@@ -6,9 +6,11 @@
 //     is a self-contained checker used by tests and the co_inspect smoke
 //     step, so the emitter cannot silently drift from the format.
 //   * JSONL — one snapshot per line (time series when pumped periodically
-//     by harness::SnapshotPump); strict JSON parseable by co::fuzz::Json. Histogram
-//     buckets are emitted sparsely as [index, count] pairs over the shared
-//     ladder to keep lines small.
+//     by harness::SnapshotPump); strict JSON parseable by co::Json
+//     (src/common/json.h), and metrics_to_json builds the same shape as a
+//     Json value for documents that embed a snapshot. Histogram buckets are
+//     emitted sparsely as [index, count] pairs over the shared ladder to
+//     keep lines small.
 //   * CSV — one row per series with derived p50/p99, for benches and
 //     spreadsheets.
 #pragma once
@@ -19,6 +21,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/json.h"
 #include "src/obs/metrics.h"
 
 namespace co::obs {
@@ -34,6 +37,10 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snap,
 /// "max" and sparse "buckets":[[bucket_index,count],..] (index
 /// Histogram::bounds().size() == the +Inf overflow bucket).
 void write_jsonl_snapshot(std::ostream& os, const MetricsSnapshot& snap);
+
+/// The write_jsonl_snapshot shape as a Json value, for documents that embed
+/// a snapshot (counterexample artifacts, bench reports).
+Json metrics_to_json(const MetricsSnapshot& snap);
 
 /// CSV with header: name,labels,type,value,count,sum,min,max,p50,p99.
 /// Labels are packed as semicolon-separated k=v pairs; the labels field is

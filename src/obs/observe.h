@@ -1,9 +1,10 @@
 // Observability bundle: one registry + one span tracker, wired together.
 //
 // Attach an instance to ClusterOptions::obs (or harness ExperimentConfig)
-// to light up the introspection layer for a run. When none is attached the
-// protocol pays a single null-check per lifecycle milestone — the same
-// discipline as an unattached obs::trace::Tracer.
+// to light up the introspection layer for a run: the cluster folds every
+// entity's trace records into the span tracker. When none is attached the
+// cluster pays a single null-check per record — the same discipline as an
+// unattached obs::trace::Tracer.
 //
 // Lifetime: the cluster registers callback instruments that sample live
 // protocol state, so take the final registry.snapshot() while the cluster

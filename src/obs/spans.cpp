@@ -4,6 +4,7 @@
 #include <string>
 
 #include "src/common/expect.h"
+#include "src/obs/trace/events.h"
 
 namespace co::obs {
 
@@ -54,49 +55,50 @@ void PduSpanTracker::on_submit(EntityId entity, time::Tick at) {
   pending_submits_[e].push_back(at);
 }
 
-void PduSpanTracker::on_send(const causality::PduKey& key, bool is_data,
-                             time::Tick at) {
-  if (!is_data) return;
-  const auto src = static_cast<std::size_t>(key.src);
-  CO_EXPECT(src < n_);
-  auto& queue = pending_submits_[src];
-  if (!queue.empty()) {
-    hists_[src].queue_wait->observe(time::to_ms(at - queue.front()));
-    queue.pop_front();
+void PduSpanTracker::on_record(const trace::Record& r) {
+  const auto event = static_cast<trace::EventId>(r.event);
+  const causality::PduKey key{r.origin, r.seq};
+  const time::Tick at = r.at;
+  if (event == trace::EventId::kSend) {
+    if (r.arg == 0) return;  // ack-only PDU: not tracked
+    const auto src = static_cast<std::size_t>(key.src);
+    CO_EXPECT(src < n_);
+    auto& queue = pending_submits_[src];
+    if (!queue.empty()) {
+      hists_[src].queue_wait->observe(time::to_ms(at - queue.front()));
+      queue.pop_front();
+    }
+    Span span;
+    span.sent = at;
+    span.observers.resize(n_);
+    spans_.emplace(key, std::move(span));
+    return;
   }
-  Span span;
-  span.sent = at;
-  span.observers.resize(n_);
-  spans_.emplace(key, std::move(span));
-}
-
-void PduSpanTracker::on_stage(EntityId observer, PduStage stage,
-                              const causality::PduKey& key, time::Tick at) {
   const auto it = spans_.find(key);
   if (it == spans_.end()) return;  // ack-only PDU or pre-attach span
   Span& span = it->second;
-  const auto e = static_cast<std::size_t>(observer);
+  const auto e = static_cast<std::size_t>(r.actor);
   CO_EXPECT(e < n_);
   Observer& obs = span.observers[e];
   StageHists& h = hists_[e];
-  switch (stage) {
-    case PduStage::kPark:
+  switch (event) {
+    case trace::EventId::kPark:
       if (obs.first_seen < 0) obs.first_seen = at;
       break;
-    case PduStage::kAccept:
+    case trace::EventId::kAccept:
       if (obs.first_seen < 0) obs.first_seen = at;
       obs.accepted = at;
       h.network->observe(time::to_ms(obs.first_seen - span.sent));
       h.park->observe(time::to_ms(at - obs.first_seen));
       break;
-    case PduStage::kPack:
+    case trace::EventId::kPack:
       obs.packed = at;
       if (obs.accepted >= 0) h.pack_wait->observe(time::to_ms(at - obs.accepted));
       break;
-    case PduStage::kDeliver:
+    case trace::EventId::kDeliver:
       obs.delivered = true;
       break;
-    case PduStage::kAck:
+    case trace::EventId::kAck:
       obs.acked = at;
       if (obs.packed >= 0) h.ack_wait->observe(time::to_ms(at - obs.packed));
       h.total->observe(time::to_ms(at - span.sent));
@@ -105,6 +107,8 @@ void PduSpanTracker::on_stage(EntityId observer, PduStage stage,
         finish_span(key, span);
         spans_.erase(it);
       }
+      break;
+    default:  // dup, f1, rtx, ...: not a lifecycle stage
       break;
   }
 }

@@ -1,8 +1,10 @@
 // Per-PDU lifecycle span tracker.
 //
 // A span starts when a data PDU is broadcast and collects, per observer
-// entity, the park/accept/pack/deliver/ack milestones the
-// CoObserver::on_stage callback reports. From those it derives the paper's stage
+// entity, the park/accept/pack/deliver/ack milestones. It folds the core's
+// binary trace records (src/obs/trace/record.h) through on_record(): a
+// kSend with a nonzero arg opens a span, and the five stage events of the
+// record's actor fill it. From those it derives the paper's stage
 // decomposition as per-entity latency histograms (milliseconds):
 //
 //   network   = first receipt − send      (MC service + ingress queueing)
@@ -27,7 +29,7 @@
 #include "src/causality/pdu_key.h"
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
-#include "src/obs/stage.h"
+#include "src/obs/trace/record.h"
 #include "src/co/time.h"
 
 namespace co::obs {
@@ -59,15 +61,13 @@ class PduSpanTracker {
   /// Application DT request queued at `entity` (SEQ not yet assigned).
   void on_submit(EntityId entity, time::Tick at);
 
-  /// Original broadcast of `key` (never retransmissions). Data PDUs open a
-  /// span and consume the oldest pending submit at the source; ack-only
-  /// PDUs are not tracked.
-  void on_send(const causality::PduKey& key, bool is_data, time::Tick at);
-
-  /// Milestone `stage` for `key` observed at `observer`. Unknown keys
-  /// (ack-only PDUs, spans opened before attach) are ignored.
-  void on_stage(EntityId observer, PduStage stage, const causality::PduKey& key,
-                time::Tick at);
+  /// Fold one protocol record. kSend of a data PDU (arg != 0; the core
+  /// never records retransmissions as sends) opens a span and consumes the
+  /// oldest pending submit at the source. kPark, kAccept, kPack, kDeliver
+  /// and kAck are milestones at the record's actor; for unknown keys
+  /// (ack-only PDUs, spans opened before attach) they are ignored, as is
+  /// every other event.
+  void on_record(const trace::Record& r);
 
   /// Completed spans, slowest first (at most top_k).
   std::vector<SlowPdu> slowest() const;

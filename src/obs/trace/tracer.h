@@ -72,19 +72,19 @@ class Tracer {
   /// entity whose track this event lands on; arg is event-specific.
   void emit(EventId event, time::Tick at, EntityId actor, EntityId origin,
             std::uint64_t seq, std::uint32_t arg = 0) {
+    emit(Record{at, seq, origin, actor, static_cast<std::uint16_t>(event), 0,
+                arg});
+  }
+
+  /// Store a record someone else stamped (the core's EffectBatch::records);
+  /// its stream field is overwritten with this thread's stream id.
+  void emit(Record r) {
 #ifdef CO_TRACE_DISABLED
-    (void)event, (void)at, (void)actor, (void)origin, (void)seq, (void)arg;
+    (void)r;
 #else
     if (!enabled()) return;
     Stream& s = local_stream();
-    Record r;
-    r.at = at;
-    r.seq = seq;
-    r.origin = origin;
-    r.actor = actor;
-    r.event = static_cast<std::uint16_t>(event);
     r.stream = s.id;
-    r.arg = arg;
     s.ring.append(r);
     if (sink_ != nullptr && !config_.overwrite_oldest &&
         s.ring.size() >= watermark_)

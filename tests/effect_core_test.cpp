@@ -240,6 +240,37 @@ TEST(EffectCore, BatchOfOneMatchesSequentialExactly) {
   EXPECT_EQ(a.stats().pdus_accepted, b.stats().pdus_accepted);
 }
 
+TEST(EffectCore, SeqBeyondTheParkSpanIsDroppedAsMalformed) {
+  // A PDU from a valid peer whose SEQ lies 2^21 past REQ (a forged or
+  // corrupted datagram) used to throw out of the park buffer. It is dropped
+  // before it raises F1, moves known_max or reaches the F(2) ACK scan.
+  CoCore core(0, config3());
+  EffectBatch out;
+  core.step(arrival(1, make(1, SeqNo{1} << 21, {9, 9, 9}), 100), out);
+  EXPECT_TRUE(out.empty());
+  ASSERT_EQ(out.records.size(), 1u);
+  EXPECT_EQ(out.records[0].event,
+            static_cast<std::uint16_t>(cat::CatId::kMalformed));
+  EXPECT_EQ(out.records[0].at, 100);
+  EXPECT_EQ(out.records[0].actor, 0);
+  EXPECT_EQ(core.stats().malformed_dropped, 1u);
+  EXPECT_EQ(core.stats().f1_detections, 0u);
+  EXPECT_EQ(core.stats().f2_detections, 0u);
+  EXPECT_EQ(core.stats().parked_out_of_order, 0u);
+  EXPECT_FALSE(core.timer_pending(TimerId::kRetransmit));
+
+  // The last SEQ the park buffer spans is still parked as an ordinary gap.
+  out.clear();
+  core.step(arrival(1, make(1, (SeqNo{1} << 20), {1, 2, 1}), 200), out);
+  EXPECT_EQ(core.stats().malformed_dropped, 1u);
+  EXPECT_EQ(core.stats().parked_out_of_order, 1u);
+
+  // The stream from E1 itself is unharmed.
+  out.clear();
+  core.step(arrival(1, make(1, 1, {1, 2, 1}), 300), out);
+  EXPECT_EQ(core.req(1), 2u);
+}
+
 TEST(EffectCore, StepIsNotReentrantButRecoversAfterThrow) {
   // A malformed input throws out of step(); the core must reject the input
   // batch without wedging — the next step() must not trip the reentrancy

@@ -27,34 +27,47 @@ namespace {
 using namespace std::chrono_literals;
 using causality::PduKey;
 
-/// One Host, every entity local, per-entity oracle taps feeding a shared
-/// TraceRecorder (the CoObserver callbacks carry no receiver identity, so
-/// the oracle needs one tap per entity).
+/// One Host, every entity local, one host-wide effect tap feeding a shared
+/// TraceRecorder from the cores' trace records (each record names its
+/// actor, so one tap serves every entity on every shard).
 class HostHarness {
  public:
-  class OracleObserver final : public proto::CoObserver {
+  class OracleTap final : public driver::EffectTap {
    public:
-    OracleObserver(HostHarness& owner, EntityId id) : owner_(owner), id_(id) {}
-    void on_send(const PduKey& k, bool is_data) override {
+    explicit OracleTap(HostHarness& owner) : owner_(owner) {}
+    void on_effects(EntityId, time::Tick,
+                    const proto::EffectBatch& batch) override {
       const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      owner_.trace_.on_send(id_, k);
-      if (is_data)
-        owner_.data_keys_[static_cast<std::size_t>(id_)].push_back(k);
-    }
-    void on_stage(obs::PduStage stage, const PduKey& k) override {
-      if (stage != obs::PduStage::kAccept) return;
-      const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      owner_.trace_.on_accept(id_, k);
+      for (const obs::trace::Record& r : batch.records) {
+        const PduKey k{r.origin, r.seq};
+        switch (static_cast<obs::trace::EventId>(r.event)) {
+          case obs::trace::EventId::kSend:
+            owner_.trace_.on_send(r.actor, k);
+            if (r.arg != 0)  // a data PDU
+              owner_.data_keys_[static_cast<std::size_t>(r.actor)].push_back(
+                  k);
+            break;
+          case obs::trace::EventId::kAccept:
+            owner_.trace_.on_accept(r.actor, k);
+            break;
+          default:
+            break;
+        }
+      }
     }
 
    private:
     HostHarness& owner_;
-    EntityId id_;
   };
 
   HostHarness(std::size_t n, std::size_t shards, double send_loss,
               obs::trace::Tracer* tracer)
-      : n_(n), trace_(n), logs_(n), data_keys_(n), submissions_(n, 0) {
+      : n_(n),
+        trace_(n),
+        logs_(n),
+        data_keys_(n),
+        submissions_(n, 0),
+        oracle_(*this) {
     proto::CoConfig cfg;
     cfg.cid = 42;
     cfg.defer_timeout = 2 * time::kMillisecond;
@@ -66,17 +79,14 @@ class HostHarness {
         .shards(shards)
         .send_loss(send_loss, /*seed=*/1000)
         .tracer(tracer)
+        .effect_tap(&oracle_)
         .deliver([this](EntityId at, EntityId,
                         const std::vector<std::uint8_t>& data) {
           const std::lock_guard<std::mutex> lock(mutex_);
           logs_[static_cast<std::size_t>(at)].push_back(data);
         });
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<EntityId>(i);
-      observers_.push_back(std::make_unique<OracleObserver>(*this, id));
-      builder.entity(id, transport::UdpEndpoint::loopback(0),
-                     observers_.back().get());
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      builder.entity(static_cast<EntityId>(i));
     host_ = builder.build();
   }
 
@@ -146,7 +156,7 @@ class HostHarness {
   std::vector<std::vector<std::vector<std::uint8_t>>> logs_;
   std::vector<std::vector<PduKey>> data_keys_;
   std::vector<std::uint64_t> submissions_;
-  std::vector<std::unique_ptr<OracleObserver>> observers_;
+  OracleTap oracle_;  // declared before host_: outlives the shard threads
   std::unique_ptr<Host> host_;
 };
 
@@ -431,6 +441,35 @@ TEST(HostRuntime, DatagramClaimingTheReceiverAsSourceIsDropped) {
   h.host().stop();
 
   EXPECT_GE(h.host().wire_stats(0).decode_errors, 1u);
+  EXPECT_EQ(h.host().protocol_stats(0).ret_pdus_sent, 0u);
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+}
+
+// A datagram from a real peer whose SEQ lies further past REQ than the park
+// buffer can span used to throw out of the park buffer on the shard thread
+// and terminate the whole process. The core now drops it as malformed,
+// before it raises F1 or feeds its ACK vector to the loss scan.
+TEST(HostRuntime, DatagramFarBeyondTheParkSpanIsDropped) {
+  HostHarness h(2, 1, 0.0, nullptr);
+  h.host().start();
+
+  proto::CoPdu forged;
+  forged.cid = 42;  // the harness cluster id
+  forged.src = 1;   // a valid peer of the receiving entity
+  forged.seq = SeqNo{1} << 21;
+  forged.ack.assign(2, 0);
+  forged.data = {1, 2, 3};
+  transport::UdpSocket attacker;
+  attacker.bind_loopback(0);
+  ASSERT_TRUE(attacker.send_to(h.host().endpoint(0), proto::encode(forged)));
+
+  // Queued ahead of every PDU these submits provoke, as above.
+  h.submit(0);
+  h.submit(1);
+  ASSERT_TRUE(h.await_deliveries(2, 10'000ms));
+  h.host().stop();
+
+  EXPECT_GE(h.host().protocol_stats(0).malformed_dropped, 1u);
   EXPECT_EQ(h.host().protocol_stats(0).ret_pdus_sent, 0u);
   EXPECT_EQ(h.check_co_service(), std::nullopt);
 }

@@ -7,10 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/driver/cluster.h"
 #include "src/fuzz/counterexample.h"
-#include "src/fuzz/json.h"
-#include "src/fuzz/obs_json.h"
 #include "src/fuzz/runner.h"
 #include "src/fuzz/scenario.h"
 #include "src/harness/experiment.h"
@@ -196,7 +195,7 @@ TEST(Exporters, JsonlSnapshotIsStrictJson) {
   const std::string line = os.str();
   ASSERT_FALSE(line.empty());
   EXPECT_EQ(line.back(), '\n');
-  const fuzz::Json j = fuzz::Json::parse(line);
+  const Json j = Json::parse(line);
   EXPECT_EQ(j.at("at_ns").as_i64(), 42);
   ASSERT_EQ(j.at("series").as_array().size(), snap.series.size());
   // Find the histogram series and check the sparse bucket encoding.
@@ -365,7 +364,7 @@ TEST(Spans, SnapshotPumpEmitsAMonotoneTimeSeries) {
   std::size_t lines = 0;
   while (std::getline(in, line)) {
     ++lines;
-    const fuzz::Json j = fuzz::Json::parse(line);
+    const Json j = Json::parse(line);
     const std::int64_t at = j.at("at_ns").as_i64();
     EXPECT_GT(at, prev_at);  // strictly advancing snapshot times
     prev_at = at;
@@ -386,21 +385,21 @@ TEST(FuzzMetrics, ReportsCarryMetricsAndArtifactsRoundTrip) {
             static_cast<double>(report.submitted));
 
   const fuzz::Counterexample ce = fuzz::Counterexample::make(sc, report, {});
-  const fuzz::Json dumped = ce.to_json();
+  const Json dumped = ce.to_json();
   ASSERT_TRUE(dumped.has("metrics"));
   EXPECT_EQ(dumped.at("metrics").dump(),
-            fuzz::metrics_to_json(report.metrics).dump());
+            obs::metrics_to_json(report.metrics).dump());
   const fuzz::Counterexample back =
-      fuzz::Counterexample::from_json(fuzz::Json::parse(dumped.dump()));
+      fuzz::Counterexample::from_json(Json::parse(dumped.dump()));
   EXPECT_EQ(back.metrics.dump(), ce.metrics.dump());
   EXPECT_EQ(back.entity_stats, ce.entity_stats);
 
   // Artifacts written before metrics embedding still load.
-  fuzz::Json::Object legacy = dumped.as_object();
+  Json::Object legacy = dumped.as_object();
   legacy.erase("metrics");
   legacy.erase("entity_stats");
   const fuzz::Counterexample old =
-      fuzz::Counterexample::from_json(fuzz::Json(legacy));
+      fuzz::Counterexample::from_json(Json(legacy));
   EXPECT_TRUE(old.metrics.is_null());
   EXPECT_EQ(old.digest, ce.digest);
 }

@@ -1,19 +1,20 @@
 // Binary event tracing: record layout, ring policies, .cotrace format
 // round-trip + strict rejection, the Tracer hot path (single- and
-// multi-threaded), the observer bridge, and the fatal-signal flight dump.
+// multi-threaded), the records the protocol core writes into each step's
+// EffectBatch, and the fatal-signal flight dump.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/obs/stage.h"
-#include "src/obs/trace/bridge.h"
+#include "src/co/core.h"
 #include "src/obs/trace/crash.h"
 #include "src/obs/trace/events.h"
 #include "src/obs/trace/file.h"
@@ -78,14 +79,14 @@ TEST(TraceEvents, DriverEventNames) {
   EXPECT_EQ(event_name(static_cast<EventId>(4711)), "?");
 }
 
-// Satellite pin: stage_name() must return the exact canonical category
-// strings (compile-time static_asserts in stage.h pin this too).
+// The span tracker's stage labels are the record events' names: each must
+// be the exact canonical category string.
 TEST(TraceEvents, StageNamesAreTheCanonicalCategoryStrings) {
-  EXPECT_EQ(stage_name(PduStage::kPark), proto::cat::kPark);
-  EXPECT_EQ(stage_name(PduStage::kAccept), proto::cat::kAccept);
-  EXPECT_EQ(stage_name(PduStage::kPack), proto::cat::kPack);
-  EXPECT_EQ(stage_name(PduStage::kDeliver), proto::cat::kDeliver);
-  EXPECT_EQ(stage_name(PduStage::kAck), proto::cat::kAck);
+  EXPECT_EQ(event_name(EventId::kPark), proto::cat::kPark);
+  EXPECT_EQ(event_name(EventId::kAccept), proto::cat::kAccept);
+  EXPECT_EQ(event_name(EventId::kPack), proto::cat::kPack);
+  EXPECT_EQ(event_name(EventId::kDeliver), proto::cat::kDeliver);
+  EXPECT_EQ(event_name(EventId::kAck), proto::cat::kAck);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,33 +361,69 @@ TEST(Tracer, MultiThreadWritersGetIndependentStreams) {
 }
 
 // ---------------------------------------------------------------------------
-// Observer bridge.
+// Records written by the protocol core.
 
-TEST(TracingObserver, BridgesObserverCallbacksWithStampedTime) {
-  TracerConfig config;
-  config.ring_capacity = 16;
-  Tracer tracer(config);
-  TracingObserver bridge(tracer, /*self=*/2);
+TEST(CoreRecords, StepStampsInputTimeAndSelfInMilestoneOrder) {
+  // A scripted two-entity exchange stepped by hand: E0 broadcasts one data
+  // PDU, every broadcast reaches both entities (own copies included), and
+  // due timers fire whenever the medium runs dry. Each step gets a fresh
+  // time so a record stamped with any other step's time would show.
+  proto::CoConfig cfg;
+  cfg.n = 2;
+  cfg.window = 4;
+  cfg.defer_timeout = time::kMillisecond;
+  cfg.retransmit_timeout = 4 * time::kMillisecond;
+  cfg.assumed_peer_buffer = 4096;
+  proto::CoCore e0(0, cfg), e1(1, cfg);
+  proto::CoCore* cores[] = {&e0, &e1};
+  std::vector<Record> seen[2];
+  std::deque<std::pair<EntityId, proto::Message>> medium;
+  time::Tick now = 0;
+  auto step = [&](proto::CoCore& core, auto event) {
+    now += 1000;
+    proto::EffectBatch out;
+    core.step(proto::Input{now, 4096, std::move(event)}, out);
+    for (const Record& r : out.records) {
+      EXPECT_EQ(r.at, now);
+      EXPECT_EQ(r.actor, core.self());
+      seen[static_cast<std::size_t>(core.self())].push_back(r);
+    }
+    for (proto::Effect& e : out.effects)
+      if (auto* b = std::get_if<proto::BroadcastEffect>(&e))
+        medium.emplace_back(core.self(), std::move(b->msg));
+  };
 
-  bridge.set_now(1000);
-  bridge.on_send(causality::PduKey{2, 7}, /*is_data=*/true);
-  bridge.set_now(2000);
-  bridge.on_stage(PduStage::kAccept, causality::PduKey{1, 5});
-  bridge.set_now(3000);
-  bridge.on_event(proto::cat::CatId::kDup, causality::PduKey{1, 5}, 9);
+  step(e0, proto::AppSubmit{{'x'}, proto::kEveryone});
+  for (int i = 0; i < 100 && e1.stats().delivered_to_app == 0; ++i) {
+    if (medium.empty()) {
+      for (proto::CoCore* c : cores)
+        for (auto t : {proto::TimerId::kDefer, proto::TimerId::kRetransmit})
+          if (c->timer_pending(t)) step(*c, proto::TimerFired{t});
+      continue;
+    }
+    auto [from, msg] = std::move(medium.front());
+    medium.pop_front();
+    for (proto::CoCore* c : cores) step(*c, proto::MessageArrived{from, msg});
+  }
+  ASSERT_EQ(e1.stats().delivered_to_app, 1u);
 
-  const auto snap = tracer.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].at, 1000);
-  EXPECT_EQ(static_cast<EventId>(snap[0].event), EventId::kSend);
-  EXPECT_EQ(snap[0].actor, 2);
-  EXPECT_EQ(snap[0].origin, 2);
-  EXPECT_EQ(snap[0].seq, 7u);
-  EXPECT_EQ(snap[0].arg, 1u);  // is_data
-  EXPECT_EQ(static_cast<EventId>(snap[1].event), EventId::kAccept);
-  EXPECT_EQ(snap[1].origin, 1);
-  EXPECT_EQ(static_cast<EventId>(snap[2].event), EventId::kDup);
-  EXPECT_EQ(snap[2].arg, 9u);
+  // The data PDU's lifecycle at each entity, in record order.
+  auto lifecycle = [&](std::size_t entity) {
+    std::vector<EventId> events;
+    for (const Record& r : seen[entity])
+      if (r.origin == 0 && r.seq == 1)
+        events.push_back(static_cast<EventId>(r.event));
+    return events;
+  };
+  EXPECT_EQ(lifecycle(0),
+            (std::vector<EventId>{EventId::kSend, EventId::kAccept,
+                                  EventId::kPack, EventId::kDeliver,
+                                  EventId::kAck}));
+  EXPECT_EQ(lifecycle(1),
+            (std::vector<EventId>{EventId::kAccept, EventId::kPack,
+                                  EventId::kDeliver, EventId::kAck}));
+  ASSERT_FALSE(seen[0].empty());
+  EXPECT_EQ(seen[0].front().arg, 1u);  // kSend of a data PDU
 }
 
 // ---------------------------------------------------------------------------

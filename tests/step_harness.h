@@ -3,11 +3,11 @@
 // The harness plays the role of a driver: it stamps every input with a
 // manually advanced clock, runs the core through a driver::Driver over a
 // TimerWheel-backed Env (the host runtime's timer path), and records every
-// Broadcast/Deliver effect plus the observer milestones the old
-// CoEnvironment mock used to capture.
+// Broadcast/Deliver effect plus the trace records each step hands its Env.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/causality/pdu_key.h"
@@ -15,17 +15,14 @@
 #include "src/co/time.h"
 #include "src/driver/driver.h"
 #include "src/driver/timer_wheel.h"
+#include "src/obs/trace/events.h"
 
 namespace co::proto {
 
 class StepHarness final : public driver::Env {
  public:
   StepHarness(EntityId self, const CoConfig& config, BufUnits free_buf = 4096)
-      : free_buf_(free_buf),
-        core_(self, config, &recorder_),
-        driver_(core_, *this) {
-    recorder_.owner = this;
-  }
+      : free_buf_(free_buf), core_(self, config), driver_(core_, *this) {}
 
   CoCore& core() { return core_; }
 
@@ -57,6 +54,7 @@ class StepHarness final : public driver::Env {
 
   std::vector<Message> broadcasts;
   std::vector<CoPdu> delivered;
+  std::vector<obs::trace::Record> records;  // every step's, in order
   std::vector<PduKey> traced_sends;
   std::vector<PduKey> traced_accepts;
 
@@ -82,6 +80,15 @@ class StepHarness final : public driver::Env {
 
  private:
   // driver::Env
+  void trace(std::span<const obs::trace::Record> step) override {
+    for (const obs::trace::Record& r : step) {
+      records.push_back(r);
+      const PduKey key{r.origin, r.seq};
+      const auto event = static_cast<obs::trace::EventId>(r.event);
+      if (event == obs::trace::EventId::kSend) traced_sends.push_back(key);
+      if (event == obs::trace::EventId::kAccept) traced_accepts.push_back(key);
+    }
+  }
   void broadcast(Message&& msg) override {
     broadcasts.push_back(std::move(msg));
   }
@@ -92,19 +99,8 @@ class StepHarness final : public driver::Env {
   void cancel(TimerId timer) override { wheel_.cancel(timer); }
   BufUnits free_buffer() override { return free_buf_; }
 
-  struct Recorder final : CoObserver {
-    StepHarness* owner = nullptr;
-    void on_send(const PduKey& k, bool) override {
-      owner->traced_sends.push_back(k);
-    }
-    void on_stage(obs::PduStage stage, const PduKey& k) override {
-      if (stage == obs::PduStage::kAccept) owner->traced_accepts.push_back(k);
-    }
-  };
-
   time::Tick now_ = 0;
   BufUnits free_buf_;
-  Recorder recorder_;
   CoCore core_;
   driver::TimerWheel wheel_;
   driver::Driver driver_;

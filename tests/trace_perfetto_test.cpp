@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/driver/cluster.h"
-#include "src/fuzz/json.h"
 #include "src/fuzz/runner.h"
 #include "src/fuzz/scenario.h"
 #include "src/obs/trace/events.h"
@@ -34,14 +34,14 @@ Record make_record(time::Tick at, EventId event, EntityId actor,
   return r;
 }
 
-fuzz::Json export_json(const std::vector<Record>& records,
+Json export_json(const std::vector<Record>& records,
                        const PerfettoOptions& opts = {}) {
   std::ostringstream os;
   write_perfetto_json(os, records, opts);
-  return fuzz::Json::parse(os.str());
+  return Json::parse(os.str());
 }
 
-std::map<std::string, int> phase_counts(const fuzz::Json& doc) {
+std::map<std::string, int> phase_counts(const Json& doc) {
   std::map<std::string, int> counts;
   for (const auto& e : doc.at("traceEvents").as_array())
     ++counts[e.at("ph").as_string()];
@@ -62,7 +62,7 @@ TEST(PerfettoExport, EmitsTracksSlicesAndFlowArrows) {
       make_record(5000, EventId::kDeliver, 1, 0, 1),
       make_record(6000, EventId::kTimerFire, 0, kNoEntity, kSeqNone, 1),
   };
-  const fuzz::Json doc = export_json(records);
+  const Json doc = export_json(records);
   const auto counts = phase_counts(doc);
 
   EXPECT_EQ(counts.at("X"), 6);  // every protocol record is a slice
@@ -153,7 +153,7 @@ TEST(TraceIntegration, SixEntityClusterExportsTracksAndFlows) {
   const auto records = tracer.snapshot();
   ASSERT_FALSE(records.empty());
 
-  const fuzz::Json doc = export_json(records);
+  const Json doc = export_json(records);
   const auto counts = phase_counts(doc);
 
   // One named track per entity.
