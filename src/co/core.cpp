@@ -350,7 +350,7 @@ bool CoCore::ingest(const MessageArrived& arrival) {
         !(ret.lsrc >= 0 && static_cast<std::size_t>(ret.lsrc) < config_.n)) {
       ++stats_.malformed_dropped;
       record(cat::CatId::kMalformed, PduKey{ret.src, ret.lseq},
-                          static_cast<std::uint32_t>(ret.ack.size()));
+             static_cast<std::uint32_t>(ret.ack.size()));
       return false;
     }
     handle_ret(ret);

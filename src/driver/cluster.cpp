@@ -21,7 +21,7 @@ class CoCluster::Entity final : public driver::Env {
  public:
   Entity(CoCluster& cluster, EntityId id)
       : core(id, cluster.options_.proto),
-        driver(core, *this, cluster.options_.effect_tap),
+        driver(core, *this, cluster.scratch_, cluster.options_.effect_tap),
         cluster_(cluster),
         id_(id) {}
 

@@ -139,6 +139,9 @@ class CoCluster {
   sim::Scheduler sched_;
   std::unique_ptr<net::McNetwork<Message>> network_;
   std::unique_ptr<causality::TraceRecorder> trace_;
+  // Step scratch every entity's driver shares (the scheduler steps one
+  // entity at a time); declared before the entities that borrow it.
+  EffectBatch scratch_;
   std::vector<std::unique_ptr<Entity>> entities_;
   std::vector<PduKey> data_sent_;
   std::unordered_map<PduKey, sim::SimTime, causality::PduKeyHash> sent_at_;

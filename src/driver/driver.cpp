@@ -6,8 +6,9 @@
 
 namespace co::driver {
 
-Driver::Driver(proto::CoCore& core, Env& env, EffectTap* tap)
-    : core_(core), env_(env), tap_(tap) {}
+Driver::Driver(proto::CoCore& core, Env& env, proto::EffectBatch& batch,
+               EffectTap* tap)
+    : core_(core), env_(env), tap_(tap), batch_(batch) {}
 
 void Driver::on_message(EntityId from, const proto::Message& msg,
                         time::Tick now) {

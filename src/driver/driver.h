@@ -27,9 +27,15 @@
 // the contract TimerFired documents.
 //
 // The clock domain is the caller's (scheduler time, or nanoseconds since a
-// host's epoch); the core only subtracts and compares ticks. The driver
-// owns one EffectBatch and reuses it across steps, so driving adds no
-// steady-state allocations.
+// host's epoch); the core only subtracts and compares ticks.
+//
+// Scratch: the driver clears and refills an EffectBatch its owner lends it,
+// so driving adds no steady-state allocations. Drivers stepped one at a
+// time on one thread share one batch — a simulated cluster lends one to all
+// its entities, a host shard one to the entities it runs — because nothing
+// in a replay steps another driver. One shared batch stays in cache where a
+// batch per entity does not: at n=32 the per-entity batches cost the
+// simulator about 4% CPU per delivery and 2.7 MB of peak RSS.
 #pragma once
 
 #include <span>
@@ -72,9 +78,12 @@ class Env {
 
 class Driver {
  public:
-  /// `core`, `env` and the tap (optional) are borrowed, not owned; all
-  /// must outlive the driver.
-  Driver(proto::CoCore& core, Env& env, EffectTap* tap = nullptr);
+  /// `core`, `env`, the scratch `batch` and the tap (optional) are
+  /// borrowed, not owned; all must outlive the driver. `batch` may be
+  /// shared with other drivers stepped on the same thread (see the file
+  /// comment); a tap or Env must then not step one of them.
+  Driver(proto::CoCore& core, Env& env, proto::EffectBatch& batch,
+         EffectTap* tap = nullptr);
 
   Driver(const Driver&) = delete;
   Driver& operator=(const Driver&) = delete;
@@ -120,7 +129,7 @@ class Driver {
   Env& env_;
   EffectTap* tap_;
   obs::trace::Tracer* tracer_ = nullptr;
-  proto::EffectBatch batch_;  // reused across steps
+  proto::EffectBatch& batch_;  // scratch, cleared every step
   std::vector<proto::Input> inputs_;  // reused by on_messages
 };
 

@@ -32,7 +32,8 @@ EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
   CO_EXPECT_MSG(socket_.is_open(), "entity socket must be bound");
   core_ = std::make_unique<proto::CoCore>(id_, config.proto);
   driver_ = std::make_unique<driver::Driver>(
-      *core_, static_cast<driver::Env&>(*this), config.effect_tap);
+      *core_, static_cast<driver::Env&>(*this), shard.scratch_,
+      config.effect_tap);
   driver_->set_tracer(tracer_);
 }
 

@@ -324,6 +324,9 @@ class Shard {
   const std::vector<transport::UdpEndpoint>* peers_;
   const DeliverFn* deliver_;
   std::chrono::steady_clock::time_point epoch_;
+  // Step scratch every entity's driver on this shard shares (steps here
+  // never nest); declared before the entities that borrow it.
+  proto::EffectBatch scratch_;
   std::vector<std::unique_ptr<EntityRuntime>> entities_;
   // pollfds_[0] is the wakeup doorbell; entity i's socket is at i + 1.
   std::vector<pollfd> pollfds_;

@@ -430,14 +430,16 @@ Json metrics_to_json(const MetricsSnapshot& snap) {
       Json::Array buckets;
       for (std::size_t i = 0; i < s.buckets.size(); ++i) {
         if (s.buckets[i] == 0) continue;
-        buckets.push_back(Json(Json::Array{
-            Json(static_cast<std::uint64_t>(i)), Json(s.buckets[i])}));
+        Json::Array bucket;  // [index, count]
+        bucket.emplace_back(static_cast<std::uint64_t>(i));
+        bucket.emplace_back(s.buckets[i]);
+        buckets.emplace_back(std::move(bucket));
       }
       o["buckets"] = Json(std::move(buckets));
     } else {
       o["value"] = Json(s.value);
     }
-    series.push_back(Json(std::move(o)));
+    series.emplace_back(std::move(o));
   }
   Json::Object top;
   top["at_ns"] = Json(static_cast<std::int64_t>(snap.at));

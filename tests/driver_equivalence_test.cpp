@@ -131,7 +131,8 @@ void run_scheduler_side(const std::vector<Op>& ops, time::Tick horizon,
   sim::Scheduler sched;
   CoCore core(0, config3());
   SchedulerEnv env(sched);
-  driver::Driver driver(core, env, &tap);
+  EffectBatch batch;
+  driver::Driver driver(core, env, batch, &tap);
   env.driver = &driver;
   for (const Op& op : ops) {
     sched.schedule_at(op.at, [&driver, &sched, &op] {
@@ -148,7 +149,8 @@ void run_wheel_side(const std::vector<Op>& ops, time::Tick horizon,
                     fuzz::EffectRecorder& tap) {
   CoCore core(0, config3());
   WheelEnv env;
-  driver::Driver driver(core, env, &tap);
+  EffectBatch batch;
+  driver::Driver driver(core, env, batch, &tap);
   auto fire_due_before = [&](time::Tick limit) {
     while (const auto next = env.wheel.next_deadline()) {
       if (*next > limit) break;

@@ -22,7 +22,9 @@ namespace co::proto {
 class StepHarness final : public driver::Env {
  public:
   StepHarness(EntityId self, const CoConfig& config, BufUnits free_buf = 4096)
-      : free_buf_(free_buf), core_(self, config), driver_(core_, *this) {}
+      : free_buf_(free_buf),
+        core_(self, config),
+        driver_(core_, *this, batch_) {}
 
   CoCore& core() { return core_; }
 
@@ -102,6 +104,7 @@ class StepHarness final : public driver::Env {
   time::Tick now_ = 0;
   BufUnits free_buf_;
   CoCore core_;
+  EffectBatch batch_;
   driver::TimerWheel wheel_;
   driver::Driver driver_;
 };
