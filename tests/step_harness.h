@@ -3,7 +3,8 @@
 // The harness plays the role of a driver: it stamps every input with a
 // manually advanced clock, runs the core through a driver::Driver over a
 // TimerWheel-backed Env (the host runtime's timer path), and records every
-// Broadcast/Deliver effect plus the trace records each step hands its Env.
+// Broadcast/Deliver effect plus the send and accept trace records each
+// step hands its Env.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,6 @@ class StepHarness final : public driver::Env {
 
   std::vector<Message> broadcasts;
   std::vector<CoPdu> delivered;
-  std::vector<obs::trace::Record> records;  // every step's, in order
   std::vector<PduKey> traced_sends;
   std::vector<PduKey> traced_accepts;
 
@@ -84,7 +84,6 @@ class StepHarness final : public driver::Env {
   // driver::Env
   void trace(std::span<const obs::trace::Record> step) override {
     for (const obs::trace::Record& r : step) {
-      records.push_back(r);
       const PduKey key{r.origin, r.seq};
       const auto event = static_cast<obs::trace::EventId>(r.event);
       if (event == obs::trace::EventId::kSend) traced_sends.push_back(key);
